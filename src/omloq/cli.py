@@ -15,16 +15,8 @@ import sys
 from dataclasses import dataclass
 
 from . import hilbert3
-from .dynalg import (
-    DEFAULT_SEED,
-    EXHAUSTIVE_THRESHOLD,
-    DynAlgebra,
-    SamplePolicy,
-    verify_ida,
-    verify_module,
-    verify_toda,
-)
-from .equivalence import SuiteFailure, round_trip_report
+from .dynalg import DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, SamplePolicy
+from .equivalence import SuiteFailure, gamma_object, round_trip_report
 from .errors import LatticeParseError, SizeExceeded
 from .linmap import (
     DEFAULT_LIN_CAP,
@@ -155,11 +147,21 @@ def cmd_sasaki(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(EXIT_PASS, data, [], [f"pi={l.names[pi]} hook={l.names[hook]}"])
 
 
-def cmd_linmaps(args, cfg: RunConfig) -> _Outcome:
-    l = load_lattice(args.file)
-    rep0 = validate_oml(l)
-    if not rep0.ok:
-        return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep0], rep0.lines())
+def _on_valid_lattice(cmd):
+    """Run ``cmd(l, args, cfg)`` on the lattice in ``args.file`` once it passes the axioms."""
+
+    def run(args, cfg: RunConfig) -> _Outcome:
+        l = load_lattice(args.file)
+        rep = validate_oml(l)
+        if not rep.ok:
+            return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep], rep.lines())
+        return cmd(l, args, cfg)
+
+    return run
+
+
+@_on_valid_lattice
+def cmd_linmaps(l: Oml, args, cfg: RunConfig) -> _Outcome:
     maps = enumerate_lin(l, cap=cfg.lin_cap)
     foulis = verify_foulis(l, maps)
     module = verify_left_module_on_M(l, maps)
@@ -173,16 +175,12 @@ def cmd_linmaps(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(code, data, reports, text)
 
 
-def cmd_tmonoid(args, cfg: RunConfig) -> _Outcome:
-    l = load_lattice(args.file)
-    rep0 = validate_oml(l)
-    if not rep0.ok:
-        return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep0], rep0.lines())
+@_on_valid_lattice
+def cmd_tmonoid(l: Oml, args, cfg: RunConfig) -> _Outcome:
     monoid = generate_T(l, cap=cfg.monoid_cap)
     data = {
         "lattice": l.name,
         "size": monoid.size,
-        "closure_complete": monoid.complete,
         "generators": l.n,
         "max_witness_length": max(len(e.witness) for e in monoid.elems),
     }
@@ -194,34 +192,20 @@ def cmd_tmonoid(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(EXIT_PASS, data, [], text)
 
 
-def cmd_toda(args, cfg: RunConfig) -> _Outcome:
-    l = load_lattice(args.file)
-    rep0 = validate_oml(l)
-    if not rep0.ok:
-        return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep0], rep0.lines())
-    policy = cfg.policy()
-    monoid = generate_T(l, cap=cfg.monoid_cap)
-    alg = DynAlgebra(monoid)
-    _, _, tl_rep = alg.test_lattice()
-    reports = [
-        tl_rep,
-        verify_ida(alg, policy),
-        verify_toda(alg, policy),
-        verify_module(alg, policy),
-    ]
-    code = EXIT_PASS if all(r.ok for r in reports) else EXIT_FAIL
-    data = {"lattice": l.name, "monoid_size": monoid.size}
+@_on_valid_lattice
+def cmd_toda(l: Oml, args, cfg: RunConfig) -> _Outcome:
+    h = gamma_object(l, cfg.policy(), monoid_cap=cfg.monoid_cap, require=False)
+    reports = list(h.suites.values())
+    code = EXIT_PASS if h.verified else EXIT_FAIL
+    data = {"lattice": l.name, "monoid_size": h.monoid.size}
     text = []
     for r in reports:
         text.extend(r.lines())
     return _Outcome(code, data, reports, text)
 
 
-def cmd_equiv(args, cfg: RunConfig) -> _Outcome:
-    l = load_lattice(args.file)
-    rep0 = validate_oml(l)
-    if not rep0.ok:
-        return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep0], rep0.lines())
+@_on_valid_lattice
+def cmd_equiv(l: Oml, args, cfg: RunConfig) -> _Outcome:
     morphisms = []
     for path in args.morphisms:
         iso = _parse_morphism_file(path, l)

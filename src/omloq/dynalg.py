@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .oml import Oml, OrthoIso, check_ortho_iso, validate_oml
+from .oml import Oml, OrthoIso, check_ortho_iso, oml_from_tables, validate_oml
 from .report import ValidationReport
 from .testmonoid import InvMonoid, mono_compose, mono_star
 
@@ -161,8 +161,14 @@ class DynAlgebra:
         Order, meets, joins, orthocomplement and bounds are all computed
         from the algebra operations; validate_oml and check_ortho_iso then
         verify the result independently, so a failure here falsifies the
-        construction on this instance rather than crashing.
+        construction on this instance rather than crashing.  Built once per
+        algebra.
         """
+        if "test_lattice" not in self._cache:
+            self._cache["test_lattice"] = self._build_test_lattice()
+        return self._cache["test_lattice"]
+
+    def _build_test_lattice(self) -> tuple[Oml, OrthoIso, ValidationReport]:
         l = self.l
         n = l.n
         r = ValidationReport(title=f"test lattice of P(T({l.name}))")
@@ -187,28 +193,15 @@ class DynAlgebra:
             w = self.union(self.tilde(self.delta(x)), self.tilde(self.delta(y)))
             return self._test_index(self.tilde(w))
 
-        join_tbl = tuple(tuple(join_t(x, y) for y in range(n)) for x in range(n))
-        meet_tbl = tuple(tuple(meet_t(x, y) for y in range(n)) for x in range(n))
-        up = [0] * n
-        down = [0] * n
-        for x in range(n):
-            for y in range(n):
-                if join_tbl[x][y] == y:
-                    up[x] |= 1 << y
-                    down[y] |= 1 << x
-        perp = tuple(self._test_index(self.tilde(self.delta(x))) for x in range(n))
-        bot = self._test_index(self.tilde_tilde(self.zero))
-        top = self._test_index(self.tilde_tilde(self.one))
-
-        tk = Oml(
-            names=tuple("~" + s for s in l.names),
-            up=tuple(up),
-            down=tuple(down),
-            meet=meet_tbl,
-            join=join_tbl,
-            perp=perp,
-            bot=bot,
-            top=top,
+        join_tbl = [[join_t(x, y) for y in range(n)] for x in range(n)]
+        tk = oml_from_tables(
+            ["~" + s for s in l.names],
+            lambda x, y: join_tbl[x][y] == y,
+            [[meet_t(x, y) for y in range(n)] for x in range(n)],
+            join_tbl,
+            [self._test_index(self.tilde(self.delta(x))) for x in range(n)],
+            bot=self._test_index(self.tilde_tilde(self.zero)),
+            top=self._test_index(self.tilde_tilde(self.one)),
             name=f"tests({l.name})",
         )
         r.extend(validate_oml(tk), prefix="lattice.")
@@ -236,6 +229,13 @@ class DynAlgebra:
 
     def from_atoms(self, atoms) -> DynElem:
         return self.union_all(atoms)
+
+
+def mu_map(alg: DynAlgebra, f: int) -> DynElem:
+    """mu: a monoid element to its singleton in the algebra."""
+    if f not in alg.carrier:
+        raise KeyError(f"monoid id {f} is not in the carrier")
+    return alg.singleton(f)
 
 
 # ---------------------------------------------------------------------------
@@ -332,57 +332,10 @@ class SamplePolicy:
         step = len(pairs) // self.action_pair_cap + 1
         return pairs[::step]
 
-    def families(self, alg: DynAlgebra) -> list[list[DynElem]]:
-        """Join families: empty, singletons, pairs, and the whole sample."""
-        elems = self.elements(alg)
-        fams: list[list[DynElem]] = [[]]
-        fams.extend([x] for x in elems)
-        fams.extend([x, y] for x, y in self.pairs(alg))
-        fams.append(list(elems))
-        return fams
 
-    def action_families(self, alg: DynAlgebra) -> list[list[DynElem]]:
-        elems = self.elements(alg)
-        fams: list[list[DynElem]] = [[]]
-        fams.extend([x] for x in elems)
-        fams.extend([x, y] for x, y in self.action_pairs(alg))
-        fams.append(list(elems))
-        return fams
-
-
-# ---------------------------------------------------------------------------
-# free-function aliases for the core operations
-
-
-def dyn_mul(a: DynElem, b: DynElem) -> DynElem:
-    return a.alg.mul(a, b)
-
-
-def dyn_star(a: DynElem) -> DynElem:
-    return a.alg.star(a)
-
-
-def dyn_tilde(a: DynElem) -> DynElem:
-    return a.alg.tilde(a)
-
-
-def tilde_tilde(a: DynElem) -> DynElem:
-    return a.alg.tilde_tilde(a)
-
-
-def action(k: DynElem, v: int) -> int:
-    return k.alg.action(k, v)
-
-
-def equiv(s: DynElem, t: DynElem) -> bool:
-    return s.alg.equiv(s, t)
-
-
-def mu_map(alg: DynAlgebra, f: int) -> DynElem:
-    """mu: a monoid element to its singleton in the algebra."""
-    if f not in alg.carrier:
-        raise KeyError(f"monoid id {f} is not in the carrier")
-    return alg.singleton(f)
+def _join_families(elems: list[DynElem], pairs) -> list[list[DynElem]]:
+    """Join families: empty, singletons, the given pairs, and the whole sample."""
+    return [[], *([x] for x in elems), *([x, y] for x, y in pairs), list(elems)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,38 +350,25 @@ def verify_ida(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validatio
     pairs = policy.pairs(alg)
     elems = policy.elements(alg)
 
-    w = next(
-        (
-            (x, y)
-            for x, y in pairs
-            if alg.tilde(alg.mul(x, alg.tilde_tilde(y))) != alg.tilde(alg.mul(x, y))
-        ),
-        None,
-    )
-    r.add("IDA2.tilde_absorbs_right_closure", w is None, "" if w is None else f"x={w[0]!r} y={w[1]!r}")
+    w = next((f"x={x!r} y={y!r}" for x, y in pairs
+              if alg.tilde(alg.mul(x, alg.tilde_tilde(y))) != alg.tilde(alg.mul(x, y))), None)
+    r.add("IDA2.tilde_absorbs_right_closure", w is None, w or "")
 
-    w = None
-    for fam in policy.families(alg):
-        lhs = alg.tilde(alg.union_all(alg.tilde_tilde(x) for x in fam))
-        rhs = alg.tilde(alg.union_all(fam))
-        if lhs != rhs:
-            w = repr(fam[:4])
-            break
+    w = next((repr(fam[:4]) for fam in _join_families(elems, pairs)
+              if alg.tilde(alg.union_all(alg.tilde_tilde(x) for x in fam))
+              != alg.tilde(alg.union_all(fam))), None)
     r.add("IDA3.tilde_absorbs_closure_of_joins", w is None, w or "")
 
     w = next((x for x in elems if alg.star(alg.tilde(x)) != alg.tilde(x)), None)
     r.add("IDA4.tilde_is_self_adjoint", w is None, "" if w is None else repr(w))
 
     w = next(
-        (
-            (x, y)
-            for x, y in pairs
-            if alg.tilde_tilde(alg.mul(alg.tilde_tilde(x), y))
-            != alg.tilde(alg.union(alg.tilde(x), alg.tilde(alg.union(alg.tilde(x), y))))
-        ),
+        (f"x={x!r} y={y!r}" for x, y in pairs
+         if alg.tilde_tilde(alg.mul(alg.tilde_tilde(x), y))
+         != alg.tilde(alg.union(alg.tilde(x), alg.tilde(alg.union(alg.tilde(x), y))))),
         None,
     )
-    r.add("IDA5.sasaki_shape", w is None, "" if w is None else f"x={w[0]!r} y={w[1]!r}")
+    r.add("IDA5.sasaki_shape", w is None, w or "")
 
     return r
 
@@ -440,17 +380,11 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
     r = ValidationReport(title=f"toda axioms on P(T({alg.l.name}))")
 
     _, _, tl_report = alg.test_lattice()
-    r.add(
-        "TODA1.test_lattice_is_complete_oml",
-        tl_report.ok,
-        "" if tl_report.ok else "; ".join(f"{c.name}:{c.witness}" for c in tl_report.failures),
-    )
+    r.add("TODA1.test_lattice_is_complete_oml", tl_report.ok, tl_report.summary())
 
-    w = None
     carrier = set(alg.carrier)
-    missing_gen = next((m for m in alg.l.elements() if alg.monoid.gen_id[m] not in carrier), None)
-    if missing_gen is not None:
-        w = f"generator pi({alg.l.names[missing_gen]}) outside carrier"
+    w = next((f"generator pi({alg.l.names[m]}) outside carrier" for m in alg.l.elements()
+              if alg.monoid.gen_id[m] not in carrier), None)
     if w is None and alg.monoid.unit_id not in carrier:
         w = "unit outside carrier"
     if w is None:
@@ -458,11 +392,11 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
             if mono_star(alg.monoid, a) not in carrier:
                 w = f"star of {a} escapes carrier"
                 break
-            for b in alg.carrier:
-                if mono_compose(alg.monoid, a, b) not in carrier:
-                    w = f"product {a}*{b} escapes carrier"
-                    break
-            if w:
+            b = next(
+                (b for b in alg.carrier if mono_compose(alg.monoid, a, b) not in carrier), None
+            )
+            if b is not None:
+                w = f"product {a}*{b} escapes carrier"
                 break
     if w is None:
         for e in policy.elements(alg):
@@ -498,15 +432,12 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
             seen[joined] = ids
     r.add("TODA3.joins_of_tests_injective", w is None, w or "")
 
-    w = None
-    for i, a in enumerate(alg.carrier):
-        for b in alg.carrier[i + 1 :]:
-            sa, sb = alg.singleton(a), alg.singleton(b)
-            if alg.equiv(sa, sb):
-                w = f"{sa!r} and {sb!r} act identically"
-                break
-        if w:
-            break
+    w = next(
+        (f"{sa!r} and {sb!r} act identically" for i, a in enumerate(alg.carrier)
+         for b in alg.carrier[i + 1 :] for sa, sb in ((alg.singleton(a), alg.singleton(b)),)
+         if alg.equiv(sa, sb)),
+        None,
+    )
     r.add("TODA4.actions_separate_tests", w is None, w or "")
 
     return r
@@ -521,110 +452,77 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
     tests = list(l.elements())
     elems = policy.elements(alg)
     pairs = policy.action_pairs(alg)
+    families = _join_families(elems, pairs)
 
     tk, _, tl_report = alg.test_lattice()
     if not tl_report.ok:
         r.add("precondition.test_lattice", False, "test lattice extraction failed")
         return r
 
+    tables: dict[DynElem, tuple[int, ...]] = {}
+
+    def act(k: DynElem) -> tuple[int, ...]:
+        """k's action on every test, computed once per sampled element."""
+        if k not in tables:
+            tables[k] = alg.action_table(k)
+        return tables[k]
+
     w = None
     for k in elems:
-        for x in tests:
-            for y in tests:
-                joined = alg.action(k, tk.join[x][y])
-                split = tk.join[alg.action(k, x)][alg.action(k, y)]
-                if joined != split:
-                    w = f"k={k!r} v={l.names[x]},{l.names[y]}"
-                    break
-            if w:
-                break
-        if alg.action(k, tk.bot) != tk.bot:
-            w = w or f"k={k!r} at empty join"
-        if w:
+        a = act(k)
+        bad = next(((x, y) for x in tests for y in tests
+                    if a[tk.join[x][y]] != tk.join[a[x]][a[y]]), None)
+        if bad is not None:
+            w = f"k={k!r} v={l.names[bad[0]]},{l.names[bad[1]]}"
+            break
+        if a[tk.bot] != tk.bot:
+            w = f"k={k!r} at empty join"
             break
     r.add("A1.action_preserves_test_joins", w is None, w or "")
 
-    w = None
-    for fam in policy.action_families(alg):
-        total = alg.union_all(fam)
-        for v in tests:
-            lhs = alg.action(total, v)
-            rhs = tk.bot
-            for t in fam:
-                rhs = tk.join[rhs][alg.action(t, v)]
-            if lhs != rhs:
-                w = f"family size {len(fam)} at {l.names[v]}"
-                break
-        if w:
-            break
-    r.add("A2.joins_act_pointwise", w is None, w or "")
-
     w = next(
-        (
-            (u, s, v)
-            for u, s in pairs
-            for v in tests
-            if alg.action(alg.mul(u, s), v) != alg.action(u, alg.action(s, v))
-        ),
+        (f"family size {len(fam)} at {l.names[v]}" for fam in families
+         for total in (alg.action_table(alg.union_all(fam)),) for v in tests
+         if total[v] != tk.join_all(act(t)[v] for t in fam)),
         None,
     )
-    r.add("A3.product_acts_by_composition", w is None,
-          "" if w is None else f"u={w[0]!r} s={w[1]!r} v={l.names[w[2]]}")
+    r.add("A2.joins_act_pointwise", w is None, w or "")
 
-    w = next((v for v in tests if alg.action(alg.unit, v) != v), None)
+    w = next((f"u={u!r} s={s!r} v={l.names[v]}" for u, s in pairs
+              for us in (alg.action_table(alg.mul(u, s)),) for v in tests
+              if us[v] != act(u)[act(s)[v]]), None)
+    r.add("A3.product_acts_by_composition", w is None, w or "")
+
+    w = next((v for v in tests if act(alg.unit)[v] != v), None)
     r.add("A4.unit_acts_as_identity", w is None, "" if w is None else l.names[w])
 
     w = next((x for x in elems if alg.tilde(alg.tilde_tilde(x)) != alg.tilde(x)), None)
     r.add("triple_tilde_collapses", w is None, "" if w is None else repr(w))
 
-    w = None
-    for fam in policy.action_families(alg):
-        lhs = alg.tilde_tilde(alg.union_all(fam))
-        rhs = alg.tilde_tilde(alg.zero)
-        for t in fam:
-            x, y = alg._test_index(rhs), alg._test_index(alg.tilde_tilde(t))
-            rhs = alg.delta(tk.join[x][y])
-        if lhs != rhs:
-            w = f"family size {len(fam)}"
-            break
+    # tk.bot is the test index of tilde_tilde(zero), the empty join
+    w = next((f"family size {len(fam)}" for fam in families
+              if alg.tilde_tilde(alg.union_all(fam))
+              != alg.delta(tk.join_all(alg._test_index(alg.tilde_tilde(t)) for t in fam))), None)
     r.add("double_tilde_preserves_joins", w is None, w or "")
 
-    w = next(
-        (
-            (u, v)
-            for u, v in pairs
-            if alg.tilde_tilde(alg.mul(u, v))
-            != alg.delta(alg.action(u, alg._test_index(alg.tilde_tilde(v))))
-        ),
-        None,
-    )
-    r.add("double_tilde_intertwines_product_with_action", w is None,
-          "" if w is None else f"u={w[0]!r} v={w[1]!r}")
+    w = next((f"u={u!r} v={v!r}" for u, v in pairs
+              if alg.tilde_tilde(alg.mul(u, v))
+              != alg.delta(act(u)[alg._test_index(alg.tilde_tilde(v))])), None)
+    r.add("double_tilde_intertwines_product_with_action", w is None, w or "")
 
     by_action: dict[tuple[int, ...], list[DynElem]] = {}
     for e in elems:
-        by_action.setdefault(alg.action_table(e), []).append(e)
-    eq_pairs = []
-    for group in by_action.values():
-        for i in range(len(group) - 1):
-            eq_pairs.append((group[i], group[i + 1]))
-            if len(eq_pairs) >= 40:
-                break
-        if len(eq_pairs) >= 40:
-            break
+        by_action.setdefault(act(e), []).append(e)
+    eq_pairs = [(g[i], g[i + 1]) for g in by_action.values() for i in range(len(g) - 1)][:40]
     if not eq_pairs:
         eq_pairs = [(elems[0], elems[0])]
-    w = None
-    for u, v in eq_pairs:
-        for s, t in eq_pairs[:10]:
-            if not alg.equiv(alg.mul(u, s), alg.mul(v, t)):
-                w = f"product congruence at u={u!r} v={v!r} s={s!r} t={t!r}"
-                break
-            if not alg.equiv(alg.union(u, s), alg.union(v, t)):
-                w = f"join congruence at u={u!r} v={v!r} s={s!r} t={t!r}"
-                break
-        if w:
-            break
+    w = next(
+        (f"{kind} congruence at u={u!r} v={v!r} s={s!r} t={t!r}"
+         for u, v in eq_pairs for s, t in eq_pairs[:10]
+         for kind, op in (("product", alg.mul), ("join", alg.union))
+         if not alg.equiv(op(u, s), op(v, t))),
+        None,
+    )
     r.add(
         "equiv_is_congruence",
         w is None,

@@ -11,6 +11,7 @@ from nu).  ``round_trip_report`` bundles everything as one verdict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .dynalg import DynAlgebra, DynElem, SamplePolicy, verify_ida, verify_module, verify_toda
@@ -119,22 +120,15 @@ def verify_dyn_morphism(
     r.add("unit_preserved", phi.apply(src_alg.unit) == dst_alg.unit)
 
     pairs = policy.action_pairs(src_alg)
-    w = next(
-        ((x, y) for x, y in pairs if phi.apply(x | y) != phi.apply(x) | phi.apply(y)), None
-    )
-    r.add("union_preserved", w is None, "" if w is None else f"{w[0]!r},{w[1]!r}")
-
-    w = next(
-        ((x, y) for x, y in pairs if phi.apply(x * y) != phi.apply(x) * phi.apply(y)), None
-    )
-    r.add("product_preserved", w is None, "" if w is None else f"{w[0]!r},{w[1]!r}")
+    for name, op in (("union_preserved", operator.or_), ("product_preserved", operator.mul)):
+        w = next((f"{x!r},{y!r}" for x, y in pairs
+                  if phi.apply(op(x, y)) != op(phi.apply(x), phi.apply(y))), None)
+        r.add(name, w is None, w or "")
 
     elems = policy.elements(src_alg)
-    w = next((x for x in elems if phi.apply(x.star()) != phi.apply(x).star()), None)
-    r.add("star_preserved", w is None, "" if w is None else repr(w))
-
-    w = next((x for x in elems if phi.apply(x.tilde()) != phi.apply(x).tilde()), None)
-    r.add("tilde_preserved", w is None, "" if w is None else repr(w))
+    for name, op in (("star_preserved", DynElem.star), ("tilde_preserved", DynElem.tilde)):
+        w = next((repr(x) for x in elems if phi.apply(op(x)) != op(phi.apply(x))), None)
+        r.add(name, w is None, w or "")
 
     return r
 
@@ -277,13 +271,9 @@ def lambda_component(
     nu = nu_table(h, target)
     lam = DynMorphism(h, target, nu, name="lambda")
 
-    w = None
-    for x in policy.elements(h.alg):
-        via_nf = target.alg.elem(nu[s.ids[0]] for s in h.alg.normal_form(x))
-        via_atoms = target.alg.elem(nu[s.ids[0]] for s in h.alg.h_map(x))
-        if via_nf != lam.apply(x) or via_atoms != lam.apply(x):
-            w = repr(x)
-            break
+    w = next((repr(x) for x in policy.elements(h.alg)
+              if target.alg.elem(nu[s.ids[0]] for s in h.alg.normal_form(x)) != lam.apply(x)
+              or target.alg.elem(nu[s.ids[0]] for s in h.alg.h_map(x)) != lam.apply(x)), None)
     r.add("normal_form_and_atom_paths_agree", w is None, w or "")
 
     r.extend(verify_dyn_morphism(lam, policy), prefix="morphism.")
@@ -358,46 +348,23 @@ def verify_h_map(h: TodaHandle, policy: SamplePolicy | None = None) -> Validatio
     w = next((x for x in elems if alg.from_atoms(alg.h_map(x)) != x), None)
     r.add("join_after_h_is_identity", w is None, "" if w is None else repr(w))
 
-    w = None
-    for x in elems:
-        atoms = alg.h_map(x)
-        if [a.ids for a in alg.h_map(alg.from_atoms(atoms))] != [a.ids for a in atoms]:
-            w = repr(x)
-            break
+    def atom_ids(x: DynElem) -> list[tuple[int, ...]]:
+        return [a.ids for a in alg.h_map(x)]
+
+    w = next((repr(x) for x in elems if atom_ids(alg.from_atoms(alg.h_map(x))) != atom_ids(x)),
+             None)
     r.add("h_after_join_is_identity", w is None, w or "")
 
-    def transported_mul(xa, ya):
-        return alg.h_map(alg.mul(alg.from_atoms(xa), alg.from_atoms(ya)))
-
-    def transported_star(xa):
-        return alg.h_map(alg.star(alg.from_atoms(xa)))
-
-    def transported_tilde(xa):
-        return alg.h_map(alg.tilde(alg.from_atoms(xa)))
-
-    pairs = policy.action_pairs(alg)
-    w = None
-    for x, y in pairs:
-        lhs = [a.ids for a in alg.h_map(alg.mul(x, y))]
-        rhs = [a.ids for a in transported_mul(alg.h_map(x), alg.h_map(y))]
-        if lhs != rhs:
-            w = f"{x!r},{y!r}"
-            break
+    w = next((f"{x!r},{y!r}" for x, y in policy.action_pairs(alg)
+              if atom_ids(alg.mul(x, y))
+              != atom_ids(alg.mul(alg.from_atoms(alg.h_map(x)), alg.from_atoms(alg.h_map(y))))),
+             None)
     r.add("product_intertwined", w is None, w or "")
 
-    w = None
-    for x in elems:
-        if [a.ids for a in alg.h_map(alg.star(x))] != [a.ids for a in transported_star(alg.h_map(x))]:
-            w = repr(x)
-            break
-    r.add("star_intertwined", w is None, w or "")
-
-    w = None
-    for x in elems:
-        if [a.ids for a in alg.h_map(alg.tilde(x))] != [a.ids for a in transported_tilde(alg.h_map(x))]:
-            w = repr(x)
-            break
-    r.add("tilde_intertwined", w is None, w or "")
+    for name, op in (("star_intertwined", alg.star), ("tilde_intertwined", alg.tilde)):
+        w = next((repr(x) for x in elems
+                  if atom_ids(op(x)) != atom_ids(op(alg.from_atoms(alg.h_map(x))))), None)
+        r.add(name, w is None, w or "")
 
     r.add("unit_atoms", [a.ids for a in alg.h_map(alg.unit)] == [alg.unit.ids])
     return r
@@ -425,11 +392,7 @@ def round_trip_report(
 
     h = gamma_object(m, policy, monoid_cap=monoid_cap, require=False)
     for key, sub in h.suites.items():
-        report.add(
-            f"gamma.{key}",
-            sub.ok,
-            "" if sub.ok else "; ".join(f"{c.name}:{c.witness}" for c in sub.failures),
-        )
+        report.add(f"gamma.{key}", sub.ok, sub.summary())
     if not h.verified:
         return report
 
@@ -441,18 +404,10 @@ def round_trip_report(
         return report
 
     lam, lam_report = lambda_component(h, target, policy)
-    report.add(
-        "lambda_component",
-        lam_report.ok,
-        "" if lam_report.ok else "; ".join(f"{c.name}:{c.witness}" for c in lam_report.failures),
-    )
+    report.add("lambda_component", lam_report.ok, lam_report.summary())
 
     hmap_report = verify_h_map(h, policy)
-    report.add(
-        "h_map_isomorphism",
-        hmap_report.ok,
-        "" if hmap_report.ok else "; ".join(f"{c.name}:{c.witness}" for c in hmap_report.failures),
-    )
+    report.add("h_map_isomorphism", hmap_report.ok, hmap_report.summary())
 
     report.add(
         "three_way_isomorphism",
@@ -481,19 +436,11 @@ def round_trip_report(
         dst_h = handles[k.dst.names]
 
         mu_rep = check_naturality_mu(k, h, dst_h, policy)
-        report.add(
-            f"mu_naturality[{k.name}]",
-            mu_rep.ok,
-            "" if mu_rep.ok else "; ".join(f"{c.name}:{c.witness}" for c in mu_rep.failures),
-        )
+        report.add(f"mu_naturality[{k.name}]", mu_rep.ok, mu_rep.summary())
 
         phi = gamma_morphism(k, h, dst_h, policy)
         lam_rep = check_naturality_lambda(phi, lam, lams[k.dst.names], policy)
-        report.add(
-            f"lambda_naturality[{k.name}]",
-            lam_rep.ok,
-            "" if lam_rep.ok else "; ".join(c.witness for c in lam_rep.failures),
-        )
+        report.add(f"lambda_naturality[{k.name}]", lam_rep.ok, lam_rep.summary())
 
         if k.dst.names == m.names:
             kk = k.compose(k)

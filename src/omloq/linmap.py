@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import SizeExceeded
-from .oml import Oml, OrthoIso, check_ortho_iso, sasaki_projection, validate_oml, _bits
+from .oml import (
+    Oml,
+    OrthoIso,
+    _bits,
+    check_ortho_iso,
+    oml_from_tables,
+    sasaki_projection,
+    validate_oml,
+)
 from .report import ValidationReport
 
 DEFAULT_LIN_CAP = 2_000_000
@@ -129,18 +137,14 @@ def orth_adjoint(f: EndoMap) -> LinMap | NotLinear:
     return LinMap(f, g)
 
 
-def compose(f: LinMap, g: LinMap, debug: bool = False) -> LinMap:
+def compose(f: LinMap, g: LinMap) -> LinMap:
     """f after g; the adjoint reverses: (f.g)* = g*.f*."""
     if f.l is not g.l and f.l.names != g.l.names:
         raise ValueError("lattice mismatch in composition")
-    out = LinMap(f.base.after(g.base), g.adj.after(f.adj))
-    if debug:
-        check = orth_adjoint(out.base)
-        assert isinstance(check, LinMap) and check.adj.tbl == out.adj.tbl
-    return out
+    return LinMap(f.base.after(g.base), g.adj.after(f.adj))
 
 
-def pointwise_join(l: Oml, fs, debug: bool = False) -> LinMap:
+def pointwise_join(l: Oml, fs) -> LinMap:
     """The pointwise join of a family of LinMaps; the empty join is the zero map."""
     fs = list(fs)
     for f in fs:
@@ -155,8 +159,6 @@ def pointwise_join(l: Oml, fs, debug: bool = False) -> LinMap:
     res = orth_adjoint(EndoMap(l, tuple(tbl)))
     if not isinstance(res, LinMap):
         raise AssertionError(f"pointwise join left the carrier: {res}")
-    if debug:
-        assert join_preservation_witness(res.base) is None
     return res
 
 
@@ -168,12 +170,13 @@ def foulis_perp(f: LinMap) -> LinMap:
     return LinMap(base, base)
 
 
+def _dperp(k: LinMap) -> LinMap:
+    return foulis_perp(foulis_perp(k))
+
+
 def bracket(f: LinMap) -> LinMap:
-    """The annihilator bracket: pi at the orthocomplement of f*(top)."""
-    l = f.l
-    m = l.perp[f.adj.tbl[l.top]]
-    base = sasaki_map(l, m)
-    return LinMap(base, base)
+    """The annihilator bracket: pi at the orthocomplement of f*(top), the perp of f*."""
+    return foulis_perp(LinMap(f.adj, f.base))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +196,8 @@ def enumerate_lin(l: Oml, cap: int = DEFAULT_LIN_CAP) -> list[LinMap]:
     """Enumerate the full carrier of join-preserving endomaps.
 
     A join-preserving map is determined by a monotone assignment on the
-    join-irreducible elements, extended by joins; each extension is checked
-    for join preservation and run through orth_adjoint.  Aborts with
+    join-irreducible elements, extended by joins; each extension is run
+    through orth_adjoint, which rejects the ones that break a join.  Aborts with
     SizeExceeded when the assignment space n^|JI| is beyond ``cap``.
     """
     if cap <= 0:
@@ -218,8 +221,6 @@ def enumerate_lin(l: Oml, cap: int = DEFAULT_LIN_CAP) -> list[LinMap]:
                     acc = l.join[acc][assignment[idx]]
             tbl.append(acc)
         f = EndoMap(l, tuple(tbl))
-        if join_preservation_witness(f) is not None:
-            return
         res = orth_adjoint(f)
         if isinstance(res, LinMap) and f.tbl not in seen:
             seen.add(f.tbl)
@@ -272,10 +273,6 @@ def bruteforce_lin(l: Oml) -> list[LinMap]:
 # verification suites
 
 
-def _tables(maps) -> dict[tuple[int, ...], int]:
-    return {f.base.tbl: i for i, f in enumerate(maps)}
-
-
 def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     """Check the Foulis-quantale axioms on an explicit carrier of maps.
 
@@ -284,23 +281,16 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     quantify over.
     """
     r = ValidationReport(title=f"foulis quantale on {len(maps)} maps over {l.name}")
-    idx = _tables(maps)
+    idx = {f.base.tbl for f in maps}
     e = identity_map(l)
     zero = zero_map(l)
 
-    def closed() -> bool:
-        if e.tbl not in idx or zero.tbl not in idx:
-            return False
-        for f in maps:
-            if f.adj.tbl not in idx or foulis_perp(f).base.tbl not in idx:
-                return False
-        for f in maps:
-            for g in maps:
-                if f.base.after(g.base).tbl not in idx:
-                    return False
-        return True
-
-    is_closed = closed()
+    is_closed = (
+        e.tbl in idx
+        and zero.tbl in idx
+        and all(f.adj.tbl in idx and foulis_perp(f).base.tbl in idx for f in maps)
+        and all(f.base.after(g.base).tbl in idx for f in maps for g in maps)
+    )
     r.add(
         "carrier.closed",
         is_closed,
@@ -309,12 +299,8 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         else "carrier not closed: existential checks below are inconclusive",
     )
 
-    w = None
-    for s in maps:
-        p = foulis_perp(s)
-        if p.base.after(p.base).tbl != p.base.tbl or p.adj.tbl != p.base.tbl:
-            w = repr(s)
-            break
+    w = next((repr(s) for s in maps for p in (foulis_perp(s),)
+              if p.base.after(p.base).tbl != p.base.tbl or p.adj.tbl != p.base.tbl), None)
     r.add("FQ1_O1.self_adjoint_idempotent", w is None, w or "")
 
     e_lin = orth_adjoint(e)
@@ -324,66 +310,41 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     if not is_closed:
         r.add_inconclusive(name, detail="carrier not closed")
     else:
-        w = None
-        for s in maps:
-            sperp = foulis_perp(s)
-            for x in maps:
-                annihilated = s.adj.after(x.base).tbl == zero.tbl
-                factors = any(sperp.base.after(y.base).tbl == x.base.tbl for y in maps)
-                if annihilated != factors:
-                    w = f"s={s!r} x={x!r}"
-                    break
-            if w:
-                break
+        # x is annihilated by s exactly when it factors through s-perp
+        w = next(
+            (f"s={s!r} x={x!r}" for s in maps for sperp in (foulis_perp(s),) for x in maps
+             if (s.adj.after(x.base).tbl == zero.tbl)
+             != any(sperp.base.after(y.base).tbl == x.base.tbl for y in maps)),
+            None,
+        )
         r.add(name, w is None, w or "")
 
-    w = None
-    for rr in maps:
-        rp = foulis_perp(rr)
-        for t in maps:
-            ann = rr.adj.after(t.base).tbl == zero.tbl
-            fixed = rp.base.after(t.base).tbl == t.base.tbl
-            if ann != fixed:
-                w = f"r={rr!r} t={t!r}"
-                break
-        if w:
-            break
+    w = next(
+        (f"r={rr!r} t={t!r}" for rr in maps for rp in (foulis_perp(rr),) for t in maps
+         if (rr.adj.after(t.base).tbl == zero.tbl) != (rp.base.after(t.base).tbl == t.base.tbl)),
+        None,
+    )
     r.add("star.annihilation_iff_below_perp", w is None, w or "",
           detail="t <= r-perp unfolds to the same fixed-point equation")
 
-    w = None
-    for t in maps:
-        tp = foulis_perp(t)
-        for rr in maps:
-            rp = foulis_perp(rr)
-            t_le_r = rr.base.after(t.base).tbl == t.base.tbl
-            if t_le_r and tp.base.after(rp.base).tbl != rp.base.tbl:
-                w = f"t={t!r} r={rr!r}"
-                break
-        if w:
-            break
+    w = next(
+        (f"t={t!r} r={rr!r}" for t in maps for tp in (foulis_perp(t),)
+         for rr in maps for rp in (foulis_perp(rr),)
+         if rr.base.after(t.base).tbl == t.base.tbl and tp.base.after(rp.base).tbl != rp.base.tbl),
+        None,
+    )
     r.add("star2.perp_antitone", w is None, w or "")
 
-    w = None
-    for s in maps:
-        k = foulis_perp(s)
-        if foulis_perp(foulis_perp(k)).base.tbl != k.base.tbl:
-            w = repr(k)
-            break
+    w = next((repr(k) for s in maps for k in (foulis_perp(s),)
+              if foulis_perp(foulis_perp(k)).base.tbl != k.base.tbl), None)
     r.add("star2.double_perp_fixes_tests", w is None, w or "")
 
-    w = None
-    for t in maps:
-        tp = foulis_perp(t)
-        for rr in maps:
-            rp = foulis_perp(rr)
-            lhs = rp.base.after(t.base).tbl == t.base.tbl
-            rhs = tp.base.after(rr.base).tbl == rr.base.tbl
-            if lhs != rhs:
-                w = f"t={t!r} r={rr!r}"
-                break
-        if w:
-            break
+    w = next(
+        (f"t={t!r} r={rr!r}" for t in maps for tp in (foulis_perp(t),) for rr in maps
+         if (foulis_perp(rr).base.after(t.base).tbl == t.base.tbl)
+         != (tp.base.after(rr.base).tbl == rr.base.tbl)),
+        None,
+    )
     r.add("star3.perp_exchange", w is None, w or "")
 
     zero_lin = orth_adjoint(zero)
@@ -395,51 +356,33 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         and foulis_perp(foulis_perp(zero_lin)).base.tbl == zero.tbl,
     )
 
-    w = None
-    for x in maps:
-        for y in maps:
-            ypp = foulis_perp(foulis_perp(y))
-            if foulis_perp(compose(x, ypp)).base.tbl != foulis_perp(compose(x, y)).base.tbl:
-                w = f"x={x!r} y={y!r}"
-                break
-        if w:
-            break
+    w = next(
+        (f"x={x!r} y={y!r}" for x in maps for y in maps
+         if foulis_perp(compose(x, _dperp(y))).base.tbl != foulis_perp(compose(x, y)).base.tbl),
+        None,
+    )
     r.add("lemma.item2_perp_absorbs_closure", w is None, w or "")
 
-    w = None
-    for x in maps:
-        xpp = foulis_perp(foulis_perp(x))
-        if foulis_perp(pointwise_join(l, [xpp])).base.tbl != foulis_perp(x).base.tbl:
-            w = f"x={x!r}"
-            break
+    w = next((f"x={x!r}" for x in maps
+              if foulis_perp(pointwise_join(l, [_dperp(x)])).base.tbl != foulis_perp(x).base.tbl),
+             None)
     if w is None:
-        for x in maps:
-            for y in maps:
-                lhs = foulis_perp(
-                    pointwise_join(l, [foulis_perp(foulis_perp(x)), foulis_perp(foulis_perp(y))])
-                )
-                rhs = foulis_perp(pointwise_join(l, [x, y]))
-                if lhs.base.tbl != rhs.base.tbl:
-                    w = f"x={x!r} y={y!r}"
-                    break
-            if w:
-                break
+        w = next(
+            (f"x={x!r} y={y!r}" for x in maps for y in maps
+             if foulis_perp(pointwise_join(l, [_dperp(x), _dperp(y)])).base.tbl
+             != foulis_perp(pointwise_join(l, [x, y])).base.tbl),
+            None,
+        )
     r.add("lemma.item3_join_of_closures", w is None, w or "",
           detail="families: singletons and pairs")
 
-    w = None
-    for x in maps:
-        xpp = foulis_perp(foulis_perp(x))
-        xp = foulis_perp(x)
-        for y in maps:
-            lhs = foulis_perp(foulis_perp(compose(xpp, y)))
-            inner = foulis_perp(pointwise_join(l, [xp, y]))
-            rhs = foulis_perp(pointwise_join(l, [xp, inner]))
-            if lhs.base.tbl != rhs.base.tbl:
-                w = f"x={x!r} y={y!r}"
-                break
-        if w:
-            break
+    w = next(
+        (f"x={x!r} y={y!r}" for x in maps for xpp, xp in ((_dperp(x), foulis_perp(x)),)
+         for y in maps for inner in (foulis_perp(pointwise_join(l, [xp, y])),)
+         if _dperp(compose(xpp, y)).base.tbl
+         != foulis_perp(pointwise_join(l, [xp, inner])).base.tbl),
+        None,
+    )
     r.add("lemma.item4_sasaki_identity", w is None, w or "")
 
     return r
@@ -449,53 +392,35 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     """Check that f . x = f(x) makes the lattice a left module over the maps."""
     r = ValidationReport(title=f"left module action on {l.name}")
 
+    bad = next((f for f in maps if join_preservation_witness(f.base) is not None), None)
     w = None
-    for f in maps:
-        if f.base.tbl[l.bot] != l.bot:
-            w = f"{f!r} at empty join"
-            break
-        for x in l.elements():
-            for y in l.elements():
-                if f.base.tbl[l.join[x][y]] != l.join[f.base.tbl[x]][f.base.tbl[y]]:
-                    w = f"{f!r} at {l.names[x]},{l.names[y]}"
-                    break
-            if w:
-                break
-        if w:
-            break
+    if bad is not None:
+        where = ",".join(l.names[x] for x in join_preservation_witness(bad.base))
+        w = f"{bad!r} at {where or 'empty join'}"
     r.add("A1.action_preserves_joins_of_elements", w is None, w or "")
 
-    w = None
-    for f in maps:
-        for g in maps:
-            fg = pointwise_join(l, [f, g])
-            for x in l.elements():
-                if fg.base.tbl[x] != l.join[f.base.tbl[x]][g.base.tbl[x]]:
-                    w = f"{f!r},{g!r} at {l.names[x]}"
-                    break
-            if w:
-                break
-        if w:
-            break
-    for x in l.elements():
-        if w:
-            break
-        if pointwise_join(l, []).base.tbl[x] != l.bot:
-            w = f"empty join at {l.names[x]}"
-    r.add("A2.joins_of_maps_act_pointwise", w is None, w or "")
+    # the pointwise join of maps that break a join need not be in the carrier
+    name = "A2.joins_of_maps_act_pointwise"
+    if bad is not None:
+        r.add_inconclusive(name, detail="A1 failed")
+    else:
+        w = next(
+            (f"{f!r},{g!r} at {l.names[x]}" for f in maps for g in maps
+             for fg in (pointwise_join(l, [f, g]),) for x in l.elements()
+             if fg.base.tbl[x] != l.join[f.base.tbl[x]][g.base.tbl[x]]),
+            None,
+        )
+        if w is None:
+            w = next((f"empty join at {l.names[x]}" for x in l.elements()
+                      if pointwise_join(l, []).base.tbl[x] != l.bot), None)
+        r.add(name, w is None, w or "")
 
-    w = None
-    for f in maps:
-        for g in maps:
-            fg = compose(f, g)
-            for x in l.elements():
-                if fg.base.tbl[x] != f.base.tbl[g.base.tbl[x]]:
-                    w = f"{f!r},{g!r} at {l.names[x]}"
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(
+        (f"{f!r},{g!r} at {l.names[x]}" for f in maps for g in maps
+         for fg in (compose(f, g),) for x in l.elements()
+         if fg.base.tbl[x] != f.base.tbl[g.base.tbl[x]]),
+        None,
+    )
     r.add("A3.composition_associates_with_action", w is None, w or "")
 
     ident = identity_map(l)
@@ -530,49 +455,22 @@ def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso
     if not r.ok:
         return l, OrthoIso(l, l, tuple(l.elements())), r
 
-    def le(k1: LinMap, k2: LinMap) -> bool:
-        return k2.base.after(k1.base).tbl == k1.base.tbl
-
-    def dperp(k: LinMap) -> LinMap:
-        return foulis_perp(foulis_perp(k))
-
     elems = [tests[m] for m in l.elements()]
-    up = [0] * l.n
-    down = [0] * l.n
-    for i in l.elements():
-        for j in l.elements():
-            if le(elems[i], elems[j]):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
 
     def as_index(k: LinMap) -> int:
         return k.base.tbl[l.top]
 
-    meet_t = []
-    join_t = []
-    for i in l.elements():
-        mr = []
-        jr = []
-        for j in l.elements():
-            inner = bracket(compose(bracket(elems[j]), elems[i]))
-            mr.append(as_index(dperp(compose(elems[i], inner))))
-            jr.append(as_index(dperp(pointwise_join(l, [elems[i], elems[j]]))))
-        meet_t.append(tuple(mr))
-        join_t.append(tuple(jr))
-
-    top_idx = as_index(foulis_perp(orth_adjoint(zero_map(l))))
-    bot_idx = as_index(dperp(pointwise_join(l, [])))
-    perp_t = tuple(as_index(bracket(k)) for k in elems)
-
-    extracted = Oml(
-        names=tuple(f"[{name}]" for name in l.names),
-        up=tuple(up),
-        down=tuple(down),
-        meet=tuple(meet_t),
-        join=tuple(join_t),
-        perp=perp_t,
-        bot=bot_idx,
-        top=top_idx,
+    extracted = oml_from_tables(
+        [f"[{name}]" for name in l.names],
+        lambda i, j: elems[j].base.after(elems[i].base).tbl == elems[i].base.tbl,
+        [
+            [as_index(_dperp(compose(k1, bracket(compose(bracket(k2), k1))))) for k2 in elems]
+            for k1 in elems
+        ],
+        [[as_index(_dperp(pointwise_join(l, [k1, k2]))) for k2 in elems] for k1 in elems],
+        [as_index(bracket(k)) for k in elems],
+        bot=as_index(_dperp(pointwise_join(l, []))),
+        top=as_index(foulis_perp(orth_adjoint(zero_map(l)))),
         name=f"tests(Lin({l.name}))",
     )
     r.extend(validate_oml(extracted), prefix="extracted.")

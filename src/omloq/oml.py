@@ -190,6 +190,34 @@ def build_oml(
     )
 
 
+def oml_from_tables(names, leq, meet, join, perp, bot: int, top: int, name: str) -> Oml:
+    """Assemble an Oml from precomputed operation tables and an order predicate.
+
+    Nothing is derived from the order, unlike ``build_oml``: ``leq(i, j)``
+    fixes the order alone, so ``validate_oml`` still checks the given meet
+    and join tables against it.
+    """
+    n = len(names)
+    up = [0] * n
+    down = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if leq(i, j):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return Oml(
+        names=tuple(names),
+        up=tuple(up),
+        down=tuple(down),
+        meet=tuple(map(tuple, meet)),
+        join=tuple(map(tuple, join)),
+        perp=tuple(perp),
+        bot=bot,
+        top=top,
+        name=name,
+    )
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -274,7 +302,10 @@ def parse_lattice_json(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise LatticeParseError(f"leq entries must be pairs, got {pair!r}")
         leq_pairs.append((resolve(pair[0]), resolve(pair[1])))
-    perp_pairs = [(resolve(a), resolve(b)) for a, b in doc.get("perp", {}).items()]
+    perp = doc.get("perp", {})
+    if not isinstance(perp, dict):
+        raise LatticeParseError(f"perp must be an object mapping labels to labels, got {perp!r}")
+    perp_pairs = [(resolve(a), resolve(b)) for a, b in perp.items()]
     return build_oml(
         names, leq_pairs, perp_pairs, name=str(doc.get("name", "")), max_elements=max_elements
     )
@@ -333,35 +364,34 @@ def validate_oml(l: Oml) -> ValidationReport:
     )
     r.add("order.antisymmetric", w is None, "" if w is None else f"{names[w[0]]},{names[w[1]]}")
 
-    w = None
-    for i in range(n):
-        for j in _bits(l.up[i]):
-            if l.up[j] & ~l.up[i]:
-                w = (i, j, next(_bits(l.up[j] & ~l.up[i])))
-                break
-        if w:
-            break
+    w = next(
+        (
+            (i, j, next(_bits(l.up[j] & ~l.up[i])))
+            for i in range(n)
+            for j in _bits(l.up[i])
+            if l.up[j] & ~l.up[i]
+        ),
+        None,
+    )
     r.add(
         "order.transitive",
         w is None,
         "" if w is None else f"{names[w[0]]}<={names[w[1]]}<={names[w[2]]}",
     )
 
-    w = None
-    for i in range(n):
-        for j in range(n):
-            g = l.meet[i][j]
-            lower = l.down[i] & l.down[j]
-            if not (lower >> g & 1 and lower & ~l.down[g] == 0):
-                w = f"meet({names[i]},{names[j]})"
-                break
-            u = l.join[i][j]
-            upper = l.up[i] & l.up[j]
-            if not (upper >> u & 1 and upper & ~l.up[u] == 0):
-                w = f"join({names[i]},{names[j]})"
-                break
-        if w:
-            break
+    w = next(
+        (
+            f"{kind}({names[i]},{names[j]})"
+            for i in range(n)
+            for j in range(n)
+            for kind, g, common, cone in (
+                ("meet", l.meet[i][j], l.down[i] & l.down[j], l.down),
+                ("join", l.join[i][j], l.up[i] & l.up[j], l.up),
+            )
+            if not (common >> g & 1 and common & ~cone[g] == 0)
+        ),
+        None,
+    )
     r.add("lattice.glb_lub", w is None, w or "")
 
     w = next((i for i in range(n) if not (l.leq(l.bot, i) and l.leq(i, l.top))), None)
@@ -416,14 +446,14 @@ _MO_ATOMS = "abcdefgh"
 def catalog(name: str, k: int = 0) -> Oml:
     """Build a stock lattice.
 
-    boolean(k), 0 <= k <= 10: the 2^k-element Boolean algebra.
+    boolean(k), 0 <= k <= 6: the 2^k-element Boolean algebra (at most MAX_ELEMENTS).
     mo(k), 1 <= k <= 8: MOk, k incomparable complementary atom pairs plus bounds.
     chain2: the 2-element chain.
     o6: the hexagon, an ortholattice that deliberately fails orthomodularity.
     """
     if name == "boolean":
-        if not 0 <= k <= 10:
-            raise ValueError("boolean catalog parameter must be in 0..10")
+        if not 0 <= k <= 6:
+            raise ValueError("boolean catalog parameter must be in 0..6")
         size = 1 << k
         labels = []
         for s in range(size):

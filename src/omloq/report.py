@@ -58,6 +58,10 @@ class ValidationReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]
 
+    def summary(self) -> str:
+        """The failed checks as ``name:witness``, joined by ``"; "``; empty when none fail."""
+        return "; ".join(f"{c.name}:{c.witness}" for c in self.failures)
+
     def __getitem__(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:

@@ -34,15 +34,13 @@ class MonoidElem:
 class InvMonoid:
     """The involutive submonoid generated by all Sasaki projections.
 
-    Immutable once generated (the product cache aside); ``complete`` records
-    whether the closure finished under its cap.
+    Immutable once generated (the product cache aside).
     """
 
     l: Oml
     elems: list[MonoidElem]
     gen_id: tuple[int, ...]  # lattice element m -> id of pi_m
     unit_id: int
-    complete: bool = True
     _by_tbl: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
     _mul: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
@@ -122,12 +120,8 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
     for m in l.elements():
         tbl = sasaki_map(l, m).tbl
         gen_tbls.append(tbl)
-        existing = by_tbl.get(tbl)
-        if existing is None:
-            intern(tbl, (m,))
-            gen_id.append(by_tbl[tbl])
-        else:
-            gen_id.append(existing)
+        intern(tbl, (m,))
+        gen_id.append(by_tbl[tbl])
 
     frontier = list(range(len(elems)))
     while frontier:
@@ -152,9 +146,9 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
         raise AssertionError("identity map missing from closure")
 
     for e in elems:
-        rev = e.witness[::-1]
+        # pi_m1 . ... . pi_mj reversed is pi_mj . ... . pi_m1: apply pi_m1 first
         tbl = unit_tbl
-        for m in rev[::-1]:
+        for m in e.witness:
             g = gen_tbls[m]
             tbl = tuple(g[tbl[x]] for x in l.elements())
         star_id = by_tbl.get(tbl)
@@ -170,7 +164,6 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
         elems=elems,
         gen_id=tuple(gen_id),
         unit_id=by_tbl[unit_tbl],
-        complete=True,
         _by_tbl=by_tbl,
     )
 

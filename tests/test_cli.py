@@ -61,6 +61,14 @@ def test_check_exit_codes(lattice_file, schema, tmp_path):
     code, doc = run_json(["check", str(tmp_path / "missing.lat")], schema)
     assert code == 2
 
+    # perp given as a list of pairs instead of an object
+    bad_json = tmp_path / "bad.json"
+    bad_doc = {"elements": ["0", "1"], "leq": [["0", "1"]], "perp": [["0", "1"]]}
+    bad_json.write_text(json.dumps(bad_doc))
+    code, doc = run_json(["check", str(bad_json)], schema)
+    assert code == 2 and doc["verdict"] == "input-error"
+    assert "perp must be an object" in doc["data"]["error"]
+
 
 def test_sasaki_command(lattice_file, capsys):
     mo2 = lattice_file("mo", 2)

@@ -1,0 +1,52 @@
+"""The --json reports stay byte-identical to the committed golden files.
+
+Criterion 12 compares two runs of the same code; these files pin the bytes
+across versions, so a refactor that changes any report shows up here.  The
+golden files were written by this suite's commands at the default seed.
+"""
+
+import io
+import os
+from contextlib import redirect_stdout
+
+import pytest
+
+from omloq.cli import main
+from omloq.oml import catalog, format_lattice
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SWAP = "iso 0 0\niso a b\niso b a\niso a' b'\niso b' a'\niso 1 1\n"
+
+# golden file name -> argv, with {name} standing for the written input file
+CASES = {
+    "toda_mo2": ["toda", "{mo2}"],
+    "equiv_mo2_swap": ["equiv", "{mo2}", "{swap}"],
+    "linmaps_boolean2": ["linmaps", "{boolean2}"],
+    "tmonoid_mo2": ["tmonoid", "{mo2}"],
+    "check_mo2": ["check", "{mo2}"],
+    "witness": ["witness"],
+}
+
+
+@pytest.fixture()
+def inputs(tmp_path):
+    paths = {}
+    for name, k in (("mo", 2), ("boolean", 2)):
+        path = tmp_path / f"{name}{k}.lat"
+        path.write_text(format_lattice(catalog(name, k)))
+        paths[f"{name}{k}"] = str(path)
+    swap = tmp_path / "swap.iso"
+    swap.write_text(SWAP)
+    paths["swap"] = str(swap)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, inputs, monkeypatch):
+    monkeypatch.delenv("OMLOQ_SEED", raising=False)
+    argv = [arg.format(**inputs) for arg in CASES[case]]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(["--json"] + argv)
+    with open(os.path.join(GOLDEN, f"{case}.json"), encoding="utf-8") as fh:
+        assert buf.getvalue() == fh.read()

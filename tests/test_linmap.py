@@ -83,8 +83,9 @@ def test_double_adjoint_and_antihomomorphism():
         assert isinstance(back, LinMap) and back.adj.tbl == f.base.tbl
     for f in maps[::17]:
         for g in maps[::13]:
-            fg = compose(f, g, debug=True)
+            fg = compose(f, g)
             assert fg.adj.tbl == g.adj.after(f.adj).tbl
+            assert orth_adjoint(fg.base).adj.tbl == fg.adj.tbl
     # exhaustive over the full enumerated carriers of the two smallest lattices
     for l in (catalog("chain2"), catalog("boolean", 2)):
         carrier = enumerate_lin(l)
@@ -175,6 +176,21 @@ def test_verify_left_module(corpus):
         maps = enumerate_lin(l)
         rep = verify_left_module_on_M(l, maps)
         assert rep.ok, (l.name, [c.name for c in rep.failures])
+
+
+def test_verify_left_module_reports_a_non_linear_map():
+    # a table that keeps bottom but breaks the join p v q = 1
+    b2 = catalog("boolean", 2)
+    p, q = b2.index("p"), b2.index("q")
+    tbl = tuple(b2.bot if x == b2.top else x for x in b2.elements())
+    f = EndoMap(b2, tbl)
+    assert f.tbl[b2.bot] == b2.bot and f.tbl[b2.join[p][q]] != b2.join[f.tbl[p]][f.tbl[q]]
+    rep = verify_left_module_on_M(b2, enumerate_lin(b2) + [LinMap(f, f)])
+    assert rep["A1.action_preserves_joins_of_elements"].status == "fail"
+    assert rep["A1.action_preserves_joins_of_elements"].witness == f"{LinMap(f, f)!r} at p,q"
+    assert rep["A2.joins_of_maps_act_pointwise"].status == "inconclusive"
+    assert rep["A2.joins_of_maps_act_pointwise"].detail == "A1 failed"
+    assert rep["A3.composition_associates_with_action"].status == "pass"
 
 
 def test_perp_images_are_exactly_projections():

@@ -135,6 +135,9 @@ def test_catalog_parameters():
     assert catalog("mo", 2).n == 6
     assert catalog("chain2").n == 2
     assert catalog("boolean", 0).n == 1
+    assert catalog("boolean", 6).n == 64  # the largest that fits MAX_ELEMENTS
+    with pytest.raises(ValueError):
+        catalog("boolean", 7)
     with pytest.raises(ValueError):
         catalog("boolean", 11)
     with pytest.raises(ValueError):
