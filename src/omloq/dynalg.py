@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 from .oml import Oml, OrthoIso, check_ortho_iso, oml_from_tables, validate_oml
 from .report import ValidationReport
-from .testmonoid import InvMonoid, mono_compose, mono_star
+from .testmonoid import InvMonoid, mono_star
 
 DEFAULT_SEED = 3405691582
 EXHAUSTIVE_THRESHOLD = 12
+PAIR_PARTNERS = 4  # seeded partners per sampled element in two-variable axioms
+ACTION_PAIR_CAP = 4000  # pairs kept for the action-heavy checks
 
 
 @dataclass(frozen=True)
@@ -39,12 +41,6 @@ class DynElem:
 
     def tilde(self) -> "DynElem":
         return self.alg.tilde(self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DynElem) and self.ids == other.ids and self.alg is other.alg
-
-    def __hash__(self) -> int:
-        return hash(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -71,6 +67,7 @@ class DynAlgebra:
         self.l = monoid.l
         self.carrier = tuple(sorted(carrier)) if carrier is not None else tuple(monoid.ids())
         self._cache: dict = {}
+        self._top = tuple(e.tbl[self.l.top] for e in monoid.elems)  # x(top) per monoid id
 
     def elem(self, ids) -> DynElem:
         ids = tuple(sorted(set(ids)))
@@ -107,24 +104,21 @@ class DynAlgebra:
     def mul(self, a: DynElem, b: DynElem) -> DynElem:
         if a.alg is not self or b.alg is not self:
             raise ValueError("elements belong to a different algebra")
-        m = self.monoid
-        return self.elem(mono_compose(m, x, y) for x in a.ids for y in b.ids)
+        rows = self.monoid.cayley
+        return DynElem(self, tuple(sorted({rows[x][y] for x in a.ids for y in b.ids})))
 
     def star(self, a: DynElem) -> DynElem:
         return self.elem(mono_star(self.monoid, x) for x in a.ids)
 
     def tilde(self, a: DynElem) -> DynElem:
         """The singleton at pi of the orthocomplement of join of a(top) values."""
-        l = self.l
-        j = l.join_all(self.monoid.tbl(x)[l.top] for x in a.ids)
-        return self.delta(l.perp[j])
+        j = self.l.join_all(self._top[x] for x in a.ids)
+        return self.delta(self.l.perp[j])
 
     def tilde_tilde(self, a: DynElem) -> DynElem:
         """Double tilde, computed twice over and compared with the closed form."""
         iterated = self.tilde(self.tilde(a))
-        l = self.l
-        j = l.join_all(self.monoid.tbl(x)[l.top] for x in a.ids)
-        closed = self.delta(j)
+        closed = self.delta(self.l.join_all(self._top[x] for x in a.ids))
         if iterated != closed:
             raise AssertionError(f"closed form for double tilde disagrees at {a!r}")
         return iterated
@@ -141,17 +135,23 @@ class DynAlgebra:
         if len(t.ids) != 1:
             raise AssertionError(f"{t!r} is not a test")
         gid = t.ids[0]
-        m = self.monoid.tbl(gid)[self.l.top]
+        m = self._top[gid]
         if self.monoid.gen_id[m] != gid:
             raise AssertionError(f"{t!r} is not a projection singleton")
         return m
 
     def action_table(self, k: DynElem) -> tuple[int, ...]:
-        return tuple(self.action(k, v) for v in self.l.elements())
+        """k's action on every test; built once per singleton, on each call otherwise."""
+        if len(k.ids) != 1:
+            return tuple(self.action(k, v) for v in self.l.elements())
+        key = ("action", k.ids[0])
+        if key not in self._cache:
+            self._cache[key] = tuple(self.action(k, v) for v in self.l.elements())
+        return self._cache[key]
 
     def equiv(self, s: DynElem, t: DynElem) -> bool:
         """True when s and t act identically on every test."""
-        return all(self.action(s, v) == self.action(t, v) for v in self.l.elements())
+        return self.action_table(s) == self.action_table(t)
 
     # -- the test lattice ------------------------------------------------
 
@@ -252,14 +252,12 @@ class SamplePolicy:
     two-element sets of generators, the images of those under star, tilde
     and generator products, plus ``n_random`` pseudo-random subsets drawn
     from ``seed``; two-variable axioms then pair each sampled element with a
-    fixed pool and a few seeded partners.
+    fixed pool and ``PAIR_PARTNERS`` seeded partners.
     """
 
     seed: int = DEFAULT_SEED
     n_random: int = 200
     exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD
-    pair_partners: int = 4
-    action_pair_cap: int = 4000
 
     def is_exhaustive(self, alg: DynAlgebra) -> bool:
         return len(alg.carrier) <= self.exhaustive_threshold
@@ -320,16 +318,16 @@ class SamplePolicy:
         rng = random.Random(self.seed + 1)
         out = []
         for x in elems:
-            partners = pool + [x] + [elems[rng.randrange(len(elems))] for _ in range(self.pair_partners)]
+            partners = pool + [x] + [elems[rng.randrange(len(elems))] for _ in range(PAIR_PARTNERS)]
             out.extend((x, y) for y in partners)
         return out
 
     def action_pairs(self, alg: DynAlgebra) -> list[tuple[DynElem, DynElem]]:
         """A deterministically capped pair sample for action-heavy checks."""
         pairs = self.pairs(alg)
-        if len(pairs) <= self.action_pair_cap:
+        if len(pairs) <= ACTION_PAIR_CAP:
             return pairs
-        step = len(pairs) // self.action_pair_cap + 1
+        step = len(pairs) // ACTION_PAIR_CAP + 1
         return pairs[::step]
 
 
@@ -392,9 +390,8 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
             if mono_star(alg.monoid, a) not in carrier:
                 w = f"star of {a} escapes carrier"
                 break
-            b = next(
-                (b for b in alg.carrier if mono_compose(alg.monoid, a, b) not in carrier), None
-            )
+            row = alg.monoid.cayley[a]
+            b = next((b for b in alg.carrier if row[b] not in carrier), None)
             if b is not None:
                 w = f"product {a}*{b} escapes carrier"
                 break
@@ -432,12 +429,9 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
             seen[joined] = ids
     r.add("TODA3.joins_of_tests_injective", w is None, w or "")
 
-    w = next(
-        (f"{sa!r} and {sb!r} act identically" for i, a in enumerate(alg.carrier)
-         for b in alg.carrier[i + 1 :] for sa, sb in ((alg.singleton(a), alg.singleton(b)),)
-         if alg.equiv(sa, sb)),
-        None,
-    )
+    w = next((f"{alg.singleton(a)!r} and {alg.singleton(b)!r} act identically"
+              for i, a in enumerate(alg.carrier) for b in alg.carrier[i + 1 :]
+              if alg.equiv(alg.singleton(a), alg.singleton(b))), None)
     r.add("TODA4.actions_separate_tests", w is None, w or "")
 
     return r

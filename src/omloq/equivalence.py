@@ -18,7 +18,7 @@ from .dynalg import DynAlgebra, DynElem, SamplePolicy, verify_ida, verify_module
 from .errors import OmloqError
 from .oml import Oml, OrthoIso, check_ortho_iso, identity_iso
 from .report import ValidationReport
-from .testmonoid import DEFAULT_MONOID_CAP, InvMonoid, generate_T, mono_compose, mono_star
+from .testmonoid import DEFAULT_MONOID_CAP, InvMonoid, generate_T, mono_star
 
 
 class SuiteFailure(OmloqError):
@@ -228,19 +228,16 @@ def mu_component(h: TodaHandle) -> OrthoIso:
 
 def verify_nu(h: TodaHandle, target: TodaHandle) -> ValidationReport:
     """nu is an isomorphism of involutive monoids onto the target."""
+    return _nu_report(h, target, nu_table(h, target))
+
+
+def _nu_report(h: TodaHandle, target: TodaHandle, nu: tuple[int, ...]) -> ValidationReport:
     r = ValidationReport(title=f"nu on T({h.oml.name})")
-    nu = nu_table(h, target)
     r.add("bijective", sorted(nu) == list(target.monoid.ids()))
     r.add("unit_preserved", nu[h.monoid.unit_id] == target.monoid.unit_id)
-    w = next(
-        (
-            (a, b)
-            for a in h.monoid.ids()
-            for b in h.monoid.ids()
-            if nu[mono_compose(h.monoid, a, b)] != mono_compose(target.monoid, nu[a], nu[b])
-        ),
-        None,
-    )
+    rows, target_rows = h.monoid.cayley, target.monoid.cayley
+    w = next(((a, b) for a in h.monoid.ids() for b in h.monoid.ids()
+              if nu[rows[a][b]] != target_rows[nu[a]][nu[b]]), None)
     r.add("product_preserved", w is None, "" if w is None else f"{w[0]},{w[1]}")
     w = next(
         (a for a in h.monoid.ids() if nu[mono_star(h.monoid, a)] != mono_star(target.monoid, nu[a])),
@@ -267,8 +264,8 @@ def lambda_component(
     """
     policy = policy or SamplePolicy()
     r = ValidationReport(title=f"lambda on P(T({h.oml.name}))")
-    r.extend(verify_nu(h, target), prefix="nu.")
     nu = nu_table(h, target)
+    r.extend(_nu_report(h, target, nu), prefix="nu.")
     lam = DynMorphism(h, target, nu, name="lambda")
 
     w = next((repr(x) for x in policy.elements(h.alg)

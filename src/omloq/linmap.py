@@ -107,6 +107,11 @@ def order_adjoint(f: EndoMap) -> EndoMap:
     if w is not None:
         labels = tuple(f.l.names[x] for x in w)
         raise ValueError(f"map is not join-preserving; witness subset {labels}")
+    return _galois_adjoint(f)
+
+
+def _galois_adjoint(f: EndoMap) -> EndoMap:
+    """y -> join of {x : f(x) <= y}, with no check that f preserves joins."""
     l = f.l
     tbl = []
     for y in l.elements():
@@ -128,7 +133,7 @@ def orth_adjoint(f: EndoMap) -> LinMap | NotLinear:
     if w is not None:
         return NotLinear("not join-preserving", w)
     l = f.l
-    fadj = order_adjoint(f)
+    fadj = _galois_adjoint(f)
     g = EndoMap(l, tuple(l.perp[fadj.tbl[l.perp[y]]] for y in l.elements()))
     for x in l.elements():
         for y in l.elements():

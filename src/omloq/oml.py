@@ -68,12 +68,6 @@ class Oml:
             acc = self.join[acc][x]
         return acc
 
-    def meet_all(self, xs) -> int:
-        acc = self.top
-        for x in xs:
-            acc = self.meet[acc][x]
-        return acc
-
     def __repr__(self) -> str:
         return f"Oml({self.name or 'unnamed'}, n={self.n})"
 

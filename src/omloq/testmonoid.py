@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import SizeExceeded
 from .linmap import EndoMap, LinMap, orth_adjoint, sasaki_map
@@ -34,7 +35,7 @@ class MonoidElem:
 class InvMonoid:
     """The involutive submonoid generated by all Sasaki projections.
 
-    Immutable once generated (the product cache aside).
+    Immutable once generated; the Cayley table is built on first use.
     """
 
     l: Oml
@@ -42,7 +43,6 @@ class InvMonoid:
     gen_id: tuple[int, ...]  # lattice element m -> id of pi_m
     unit_id: int
     _by_tbl: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
-    _mul: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
@@ -53,6 +53,12 @@ class InvMonoid:
 
     def tbl(self, a: int) -> tuple[int, ...]:
         return self.elems[a].tbl
+
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        """Dense product table: cayley[a][b] is the id of tbl_a composed after tbl_b."""
+        tbls = [e.tbl for e in self.elems]
+        return tuple(tuple(self.id_of(tuple(ta[x] for x in tb)) for tb in tbls) for ta in tbls)
 
     def id_of(self, tbl: tuple[int, ...]) -> int:
         try:
@@ -72,14 +78,7 @@ class InvMonoid:
 
 def mono_compose(m: InvMonoid, a: int, b: int) -> int:
     """Cayley product: the id whose table is tbl_a composed after tbl_b."""
-    key = (a, b)
-    cached = m._mul.get(key)
-    if cached is not None:
-        return cached
-    ta, tb = m.elems[a].tbl, m.elems[b].tbl
-    out = m.id_of(tuple(ta[x] for x in tb))
-    m._mul[key] = out
-    return out
+    return m.cayley[a][b]
 
 
 def mono_star(m: InvMonoid, a: int) -> int:
@@ -185,9 +184,9 @@ def bruteforce_closure(l: Oml) -> set[tuple[int, ...]]:
 
 
 def cayley_rows(m: InvMonoid):
-    for a in m.ids():
-        for b in m.ids():
-            yield (a, b, mono_compose(m, a, b))
+    for a, row in enumerate(m.cayley):
+        for b, ab in enumerate(row):
+            yield (a, b, ab)
 
 
 def export_cayley_csv(m: InvMonoid, path: str) -> None:

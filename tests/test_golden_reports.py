@@ -20,6 +20,7 @@ SWAP = "iso 0 0\niso a b\niso b a\niso a' b'\niso b' a'\niso 1 1\n"
 # golden file name -> argv, with {name} standing for the written input file
 CASES = {
     "toda_mo2": ["toda", "{mo2}"],
+    "toda_boolean2": ["toda", "{boolean2}"],
     "equiv_mo2_swap": ["equiv", "{mo2}", "{swap}"],
     "linmaps_boolean2": ["linmaps", "{boolean2}"],
     "tmonoid_mo2": ["tmonoid", "{mo2}"],

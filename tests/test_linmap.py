@@ -231,3 +231,24 @@ def test_nonmonotone_scan_reports_mo2_finding():
     assert mo2.leq(u, v)
     # boolean lattices never witness this
     assert scan_nonmonotone(catalog("boolean", 3)) == []
+
+
+def test_orth_adjoint_scans_joins_once(monkeypatch):
+    import omloq.linmap as linmap
+
+    calls = {"scan": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(linmap, "join_preservation_witness",
+                        counted("scan", linmap.join_preservation_witness))
+    monkeypatch.setattr(linmap, "orth_adjoint", counted("adjoint", linmap.orth_adjoint))
+    maps = enumerate_lin(catalog("boolean", 2))
+    assert len(maps) == 16
+    assert calls["adjoint"] > 0
+    assert calls["scan"] == calls["adjoint"]

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from omloq.dynalg import DynAlgebra
 from omloq.errors import SizeExceeded
 from omloq.linmap import LinMap, orth_adjoint
 from omloq.oml import catalog
@@ -181,3 +183,30 @@ def test_cayley_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row,col,product"
     assert len(lines) == 1 + m.size * m.size
+
+
+@pytest.mark.parametrize("name,k", sorted(EXPECTED_SIZES))
+def test_cayley_table_composes_tables(name, k):
+    m = generate_T(catalog(name, k))
+    for a, b in itertools.product(m.ids(), repeat=2):
+        ta, tb = m.tbl(a), m.tbl(b)
+        assert m.tbl(m.cayley[a][b]) == tuple(ta[x] for x in tb)
+
+
+@pytest.mark.parametrize("name,k", [("boolean", 3), ("mo", 2), ("mo", 3), ("mo", 4)])
+def test_setwise_product_matches_raw_tables(name, k):
+    m = generate_T(catalog(name, k))
+    alg = DynAlgebra(m)
+    rng = random.Random(k)
+    for _ in range(50):
+        a = alg.elem(i for i in m.ids() if rng.random() < 0.3)
+        b = alg.elem(i for i in m.ids() if rng.random() < 0.3)
+        raw = {tuple(m.tbl(x)[v] for v in m.tbl(y)) for x in a.ids for y in b.ids}
+        assert {m.tbl(i) for i in alg.mul(a, b).ids} == raw
+
+
+def test_cayley_table_is_built_on_first_use():
+    m = generate_T(catalog("mo", 3))
+    assert "cayley" not in m.__dict__
+    mono_compose(m, m.unit_id, m.unit_id)
+    assert "cayley" in m.__dict__
