@@ -68,6 +68,7 @@ class DynAlgebra:
         self.carrier = tuple(sorted(carrier)) if carrier is not None else tuple(monoid.ids())
         self._cache: dict = {}
         self._top = tuple(e.tbl[self.l.top] for e in monoid.elems)  # x(top) per monoid id
+        self._tests = tuple(DynElem(self, (g,)) for g in monoid.gen_id)  # delta(m) per m
 
     def elem(self, ids) -> DynElem:
         ids = tuple(sorted(set(ids)))
@@ -90,7 +91,7 @@ class DynAlgebra:
 
     def delta(self, m: int) -> DynElem:
         """delta(m) = the singleton test at lattice element m."""
-        return self.singleton(self.monoid.gen_id[m])
+        return self._tests[m]
 
     def union(self, a: DynElem, b: DynElem) -> DynElem:
         return self.elem(a.ids + b.ids)

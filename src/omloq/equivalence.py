@@ -283,8 +283,12 @@ def check_naturality_mu(
     k: OrthoIso, src: TodaHandle, dst: TodaHandle, policy: SamplePolicy | None = None
 ) -> ValidationReport:
     """Both paths around the mu square, evaluated at every source element."""
+    return _mu_report(k, gamma_morphism(k, src, dst, policy))
+
+
+def _mu_report(k: OrthoIso, phi: DynMorphism) -> ValidationReport:
+    src, dst = phi.src, phi.dst
     r = ValidationReport(title=f"mu naturality for {k.name}")
-    phi = gamma_morphism(k, src, dst, policy)
     psi_phi = psi_morphism(phi)
     for m in src.oml.elements():
         via_k = k(m)
@@ -432,10 +436,10 @@ def round_trip_report(
             lams[k.dst.names] = lambda_component(handles[k.dst.names], targets[k.dst.names], policy)[0]
         dst_h = handles[k.dst.names]
 
-        mu_rep = check_naturality_mu(k, h, dst_h, policy)
+        phi = gamma_morphism(k, h, dst_h, policy)
+        mu_rep = _mu_report(k, phi)
         report.add(f"mu_naturality[{k.name}]", mu_rep.ok, mu_rep.summary())
 
-        phi = gamma_morphism(k, h, dst_h, policy)
         lam_rep = check_naturality_lambda(phi, lam, lams[k.dst.names], policy)
         report.add(f"lambda_naturality[{k.name}]", lam_rep.ok, lam_rep.summary())
 

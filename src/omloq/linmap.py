@@ -34,9 +34,6 @@ class EndoMap:
     l: Oml
     tbl: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.tbl[x]
-
     def after(self, other: "EndoMap") -> "EndoMap":
         return EndoMap(self.l, tuple(self.tbl[other.tbl[x]] for x in self.l.elements()))
 
@@ -54,9 +51,6 @@ class LinMap:
     @property
     def l(self) -> Oml:
         return self.base.l
-
-    def __call__(self, x: int) -> int:
-        return self.base.tbl[x]
 
     def __repr__(self) -> str:
         return "Lin" + repr(self.base)[4:]
@@ -289,11 +283,14 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     idx = {f.base.tbl for f in maps}
     e = identity_map(l)
     zero = zero_map(l)
+    # each carrier map's perp and double perp, computed once for every check below
+    perps = [foulis_perp(f) for f in maps]
+    dperps = [foulis_perp(p) for p in perps]
 
     is_closed = (
         e.tbl in idx
         and zero.tbl in idx
-        and all(f.adj.tbl in idx and foulis_perp(f).base.tbl in idx for f in maps)
+        and all(f.adj.tbl in idx and p.base.tbl in idx for f, p in zip(maps, perps))
         and all(f.base.after(g.base).tbl in idx for f in maps for g in maps)
     )
     r.add(
@@ -304,7 +301,7 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         else "carrier not closed: existential checks below are inconclusive",
     )
 
-    w = next((repr(s) for s in maps for p in (foulis_perp(s),)
+    w = next((repr(s) for s, p in zip(maps, perps)
               if p.base.after(p.base).tbl != p.base.tbl or p.adj.tbl != p.base.tbl), None)
     r.add("FQ1_O1.self_adjoint_idempotent", w is None, w or "")
 
@@ -315,17 +312,19 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     if not is_closed:
         r.add_inconclusive(name, detail="carrier not closed")
     else:
-        # x is annihilated by s exactly when it factors through s-perp
+        # x is annihilated by s exactly when it lies in the right ideal s-perp . maps;
+        # one ideal per distinct perp table, so a wrong perp still shows
+        ideals = {t: {p.base.after(y.base).tbl for y in maps}
+                  for t, p in {k.base.tbl: k for k in perps}.items()}
         w = next(
-            (f"s={s!r} x={x!r}" for s in maps for sperp in (foulis_perp(s),) for x in maps
-             if (s.adj.after(x.base).tbl == zero.tbl)
-             != any(sperp.base.after(y.base).tbl == x.base.tbl for y in maps)),
+            (f"s={s!r} x={x!r}" for s, p in zip(maps, perps) for x in maps
+             if (s.adj.after(x.base).tbl == zero.tbl) != (x.base.tbl in ideals[p.base.tbl])),
             None,
         )
         r.add(name, w is None, w or "")
 
     w = next(
-        (f"r={rr!r} t={t!r}" for rr in maps for rp in (foulis_perp(rr),) for t in maps
+        (f"r={rr!r} t={t!r}" for rr, rp in zip(maps, perps) for t in maps
          if (rr.adj.after(t.base).tbl == zero.tbl) != (rp.base.after(t.base).tbl == t.base.tbl)),
         None,
     )
@@ -333,20 +332,19 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
           detail="t <= r-perp unfolds to the same fixed-point equation")
 
     w = next(
-        (f"t={t!r} r={rr!r}" for t in maps for tp in (foulis_perp(t),)
-         for rr in maps for rp in (foulis_perp(rr),)
+        (f"t={t!r} r={rr!r}" for t, tp in zip(maps, perps) for rr, rp in zip(maps, perps)
          if rr.base.after(t.base).tbl == t.base.tbl and tp.base.after(rp.base).tbl != rp.base.tbl),
         None,
     )
     r.add("star2.perp_antitone", w is None, w or "")
 
-    w = next((repr(k) for s in maps for k in (foulis_perp(s),)
-              if foulis_perp(foulis_perp(k)).base.tbl != k.base.tbl), None)
+    w = next((repr(k) for k, kp in zip(perps, dperps)
+              if foulis_perp(kp).base.tbl != k.base.tbl), None)
     r.add("star2.double_perp_fixes_tests", w is None, w or "")
 
     w = next(
-        (f"t={t!r} r={rr!r}" for t in maps for tp in (foulis_perp(t),) for rr in maps
-         if (foulis_perp(rr).base.after(t.base).tbl == t.base.tbl)
+        (f"t={t!r} r={rr!r}" for t, tp in zip(maps, perps) for rr, rp in zip(maps, perps)
+         if (rp.base.after(t.base).tbl == t.base.tbl)
          != (tp.base.after(rr.base).tbl == rr.base.tbl)),
         None,
     )
@@ -362,19 +360,18 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     )
 
     w = next(
-        (f"x={x!r} y={y!r}" for x in maps for y in maps
-         if foulis_perp(compose(x, _dperp(y))).base.tbl != foulis_perp(compose(x, y)).base.tbl),
+        (f"x={x!r} y={y!r}" for x in maps for y, ypp in zip(maps, dperps)
+         if foulis_perp(compose(x, ypp)).base.tbl != foulis_perp(compose(x, y)).base.tbl),
         None,
     )
     r.add("lemma.item2_perp_absorbs_closure", w is None, w or "")
 
-    w = next((f"x={x!r}" for x in maps
-              if foulis_perp(pointwise_join(l, [_dperp(x)])).base.tbl != foulis_perp(x).base.tbl),
-             None)
+    w = next((f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps)
+              if foulis_perp(pointwise_join(l, [xpp])).base.tbl != xp.base.tbl), None)
     if w is None:
         w = next(
-            (f"x={x!r} y={y!r}" for x in maps for y in maps
-             if foulis_perp(pointwise_join(l, [_dperp(x), _dperp(y)])).base.tbl
+            (f"x={x!r} y={y!r}" for x, xpp in zip(maps, dperps) for y, ypp in zip(maps, dperps)
+             if foulis_perp(pointwise_join(l, [xpp, ypp])).base.tbl
              != foulis_perp(pointwise_join(l, [x, y])).base.tbl),
             None,
         )
@@ -382,10 +379,9 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
           detail="families: singletons and pairs")
 
     w = next(
-        (f"x={x!r} y={y!r}" for x in maps for xpp, xp in ((_dperp(x), foulis_perp(x)),)
-         for y in maps for inner in (foulis_perp(pointwise_join(l, [xp, y])),)
+        (f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps) for y in maps
          if _dperp(compose(xpp, y)).base.tbl
-         != foulis_perp(pointwise_join(l, [xp, inner])).base.tbl),
+         != foulis_perp(pointwise_join(l, [xp, foulis_perp(pointwise_join(l, [xp, y]))])).base.tbl),
         None,
     )
     r.add("lemma.item4_sasaki_identity", w is None, w or "")

@@ -69,9 +69,6 @@ class InvMonoid:
     def endomap(self, a: int) -> EndoMap:
         return EndoMap(self.l, self.elems[a].tbl)
 
-    def linmap(self, a: int) -> LinMap:
-        return LinMap(self.endomap(a), self.endomap(self.elems[a].star_id))
-
     def label(self, a: int) -> str:
         return "pi(" + ")pi(".join(self.l.names[m] for m in self.elems[a].witness) + ")"
 

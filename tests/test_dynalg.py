@@ -57,6 +57,17 @@ def test_tilde_examples(algebra_for):
     assert alg.tilde(alg.tilde(pa | pb)) == alg.unit  # a join b is top in mo2
 
 
+def test_tests_are_shared_singletons(algebra_for):
+    alg = algebra_for("mo", 2)
+    l = alg.l
+    pa, pb = gens(alg, "a", "b")
+    for m in l.elements():
+        assert alg.delta(m) is alg.delta(m)
+        assert alg.delta(m) == alg.singleton(alg.monoid.gen_id[m])
+        assert alg.tilde(alg.delta(m)) is alg.delta(l.perp[m])
+    assert alg.tilde(pa | pb) is alg.delta(l.bot)
+
+
 def test_tilde_tilde_examples(algebra_for):
     alg = algebra_for("mo", 2)
     l = alg.l

@@ -23,6 +23,7 @@ CASES = {
     "toda_boolean2": ["toda", "{boolean2}"],
     "equiv_mo2_swap": ["equiv", "{mo2}", "{swap}"],
     "linmaps_boolean2": ["linmaps", "{boolean2}"],
+    "linmaps_mo2": ["linmaps", "{mo2}"],
     "tmonoid_mo2": ["tmonoid", "{mo2}"],
     "check_mo2": ["check", "{mo2}"],
     "witness": ["witness"],

@@ -171,6 +171,28 @@ def test_verify_foulis_identity_only_inconclusive():
     assert rep["O3.perp_factorization"].status == "inconclusive"
 
 
+def test_o3_matches_its_cubic_definition():
+    # O3: s* . x = 0 exactly when x = s-perp . y for some y in the carrier
+    def o3_by_definition(maps, zero):
+        return next(
+            (f"s={s!r} x={x!r}" for s in maps for x in maps
+             if (s.adj.after(x.base).tbl == zero.tbl)
+             != any(foulis_perp(s).base.after(y.base).tbl == x.base.tbl for y in maps)),
+            None,
+        )
+
+    c2, b2 = catalog("chain2"), catalog("boolean", 2)
+    b2_maps = enumerate_lin(b2)
+    shifted = [LinMap(f.base, b2_maps[(i + 1) % len(b2_maps)].adj) for i, f in enumerate(b2_maps)]
+    for l, maps in [(c2, enumerate_lin(c2)), (b2, b2_maps), (b2, shifted)]:
+        rep = verify_foulis(l, maps)
+        assert rep["carrier.closed"].status == "pass"
+        w = o3_by_definition(maps, zero_map(l))
+        assert rep["O3.perp_factorization"].status == ("pass" if w is None else "fail")
+        assert rep["O3.perp_factorization"].witness == (w or "")
+    assert rep["O3.perp_factorization"].witness == "s=LinMap[0 0 0 0] x=LinMap[0 0 p p]"
+
+
 def test_verify_left_module(corpus):
     for l in corpus[:4]:
         maps = enumerate_lin(l)
