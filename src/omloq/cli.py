@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import hilbert3
 from .dynalg import DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, SamplePolicy
@@ -43,39 +42,17 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = DEFAULT_SEED
-    lin_cap: int = DEFAULT_LIN_CAP
-    monoid_cap: int = DEFAULT_MONOID_CAP
-    exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD
-    samples: int = 200
-    json_output: bool = False
-    verbose: bool = False
-
-    def policy(self) -> SamplePolicy:
-        return SamplePolicy(
-            seed=self.seed,
-            n_random=self.samples,
-            exhaustive_threshold=self.exhaustive_threshold,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "lin_cap": self.lin_cap,
-            "monoid_cap": self.monoid_cap,
-            "exhaustive_threshold": self.exhaustive_threshold,
-            "samples": self.samples,
-        }
-
-
 class _Outcome:
     def __init__(self, exit_code: int, data: dict, reports: list[ValidationReport], text: list[str]):
         self.exit_code = exit_code
         self.data = data
         self.reports = reports
         self.text = text
+
+
+def _policy(args) -> SamplePolicy:
+    return SamplePolicy(seed=args.seed, n_random=args.samples,
+                        exhaustive_threshold=args.exhaustive_threshold)
 
 
 def _verdict(exit_code: int) -> str:
@@ -126,7 +103,7 @@ def _parse_morphism_file(path: str, l: Oml) -> OrthoIso:
 # commands
 
 
-def cmd_check(args, cfg: RunConfig) -> _Outcome:
+def cmd_check(args) -> _Outcome:
     l = load_lattice(args.file)
     rep = validate_oml(l)
     code = EXIT_PASS if rep.ok else EXIT_FAIL
@@ -134,7 +111,7 @@ def cmd_check(args, cfg: RunConfig) -> _Outcome:
     return _Outcome(code, data, [rep], rep.lines())
 
 
-def cmd_sasaki(args, cfg: RunConfig) -> _Outcome:
+def cmd_sasaki(args) -> _Outcome:
     l = load_lattice(args.file)
     try:
         m = l.index(args.m)
@@ -148,21 +125,21 @@ def cmd_sasaki(args, cfg: RunConfig) -> _Outcome:
 
 
 def _on_valid_lattice(cmd):
-    """Run ``cmd(l, args, cfg)`` on the lattice in ``args.file`` once it passes the axioms."""
+    """Run ``cmd(l, args)`` on the lattice in ``args.file`` once it passes the axioms."""
 
-    def run(args, cfg: RunConfig) -> _Outcome:
+    def run(args) -> _Outcome:
         l = load_lattice(args.file)
         rep = validate_oml(l)
         if not rep.ok:
             return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep], rep.lines())
-        return cmd(l, args, cfg)
+        return cmd(l, args)
 
     return run
 
 
 @_on_valid_lattice
-def cmd_linmaps(l: Oml, args, cfg: RunConfig) -> _Outcome:
-    maps = enumerate_lin(l, cap=cfg.lin_cap)
+def cmd_linmaps(l: Oml, args) -> _Outcome:
+    maps = enumerate_lin(l, cap=args.lin_cap)
     foulis = verify_foulis(l, maps)
     module = verify_left_module_on_M(l, maps)
     _, _, extraction = sasaki_projection_lattice(l, maps)
@@ -176,8 +153,8 @@ def cmd_linmaps(l: Oml, args, cfg: RunConfig) -> _Outcome:
 
 
 @_on_valid_lattice
-def cmd_tmonoid(l: Oml, args, cfg: RunConfig) -> _Outcome:
-    monoid = generate_T(l, cap=cfg.monoid_cap)
+def cmd_tmonoid(l: Oml, args) -> _Outcome:
+    monoid = generate_T(l, cap=args.monoid_cap)
     data = {
         "lattice": l.name,
         "size": monoid.size,
@@ -193,8 +170,8 @@ def cmd_tmonoid(l: Oml, args, cfg: RunConfig) -> _Outcome:
 
 
 @_on_valid_lattice
-def cmd_toda(l: Oml, args, cfg: RunConfig) -> _Outcome:
-    h = gamma_object(l, cfg.policy(), monoid_cap=cfg.monoid_cap, require=False)
+def cmd_toda(l: Oml, args) -> _Outcome:
+    h = gamma_object(l, _policy(args), monoid_cap=args.monoid_cap, require=False)
     reports = list(h.suites.values())
     code = EXIT_PASS if h.verified else EXIT_FAIL
     data = {"lattice": l.name, "monoid_size": h.monoid.size}
@@ -205,7 +182,7 @@ def cmd_toda(l: Oml, args, cfg: RunConfig) -> _Outcome:
 
 
 @_on_valid_lattice
-def cmd_equiv(l: Oml, args, cfg: RunConfig) -> _Outcome:
+def cmd_equiv(l: Oml, args) -> _Outcome:
     morphisms = []
     for path in args.morphisms:
         iso = _parse_morphism_file(path, l)
@@ -216,13 +193,13 @@ def cmd_equiv(l: Oml, args, cfg: RunConfig) -> _Outcome:
                 f"({'; '.join(c.name for c in iso_rep.failures)})"
             )
         morphisms.append(iso)
-    rep = round_trip_report(l, morphisms, cfg.policy(), monoid_cap=cfg.monoid_cap)
+    rep = round_trip_report(l, morphisms, _policy(args), monoid_cap=args.monoid_cap)
     code = EXIT_PASS if rep.ok else EXIT_FAIL
     data = {"lattice": l.name, "morphisms": [m.name for m in morphisms]}
     return _Outcome(code, data, [rep], rep.lines())
 
 
-def cmd_witness(args, cfg: RunConfig) -> _Outcome:
+def cmd_witness(args) -> _Outcome:
     def parse_sub(text):
         if text is None:
             return None
@@ -252,20 +229,27 @@ def cmd_witness(args, cfg: RunConfig) -> _Outcome:
 # wiring
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # global flags are accepted both before and after the subcommand; the
-    # per-subcommand copies default to SUPPRESS so they never clobber values
-    # given up front
-    d = (lambda _: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--json", action="store_true", help="emit a JSON report",
-                        **({"default": argparse.SUPPRESS} if suppress else {}))
-    parser.add_argument("--seed", type=int, default=d(DEFAULT_SEED), help="sampling seed")
-    parser.add_argument("--lin-cap", type=int, default=d(DEFAULT_LIN_CAP))
-    parser.add_argument("--monoid-cap", type=int, default=d(DEFAULT_MONOID_CAP))
-    parser.add_argument("--exhaustive-threshold", type=int, default=d(EXHAUSTIVE_THRESHOLD))
-    parser.add_argument("--samples", type=int, default=d(200), help="random subsets per suite")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        **({"default": argparse.SUPPRESS} if suppress else {}))
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+def _add_global_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    parser.add_argument("--seed", type=int, help="sampling seed")
+    parser.add_argument("--lin-cap", type=_at_least(1))
+    parser.add_argument("--monoid-cap", type=_at_least(1))
+    parser.add_argument("--exhaustive-threshold", type=_at_least(0))
+    parser.add_argument("--samples", type=_at_least(0), help="random subsets per suite")
+    parser.add_argument("-v", "--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,9 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omloq",
         description="verify orthomodular lattices and their dynamic algebras",
     )
-    _add_global_flags(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    _add_global_flags(parser)
+    parser.set_defaults(seed=DEFAULT_SEED, lin_cap=DEFAULT_LIN_CAP, monoid_cap=DEFAULT_MONOID_CAP,
+                        exhaustive_threshold=EXHAUSTIVE_THRESHOLD, samples=200)
+    # global flags are accepted both before and after the subcommand; the
+    # per-subcommand copies default to SUPPRESS so they never clobber values
+    # given up front
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _add_global_flags(common)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,28 +309,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    seed = args.seed
     env_seed = os.environ.get("OMLOQ_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            args.seed = int(env_seed)
         except ValueError:
             print(f"error: OMLOQ_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return EXIT_INPUT
 
-    cfg = RunConfig(
-        command=args.command,
-        seed=seed,
-        lin_cap=args.lin_cap,
-        monoid_cap=args.monoid_cap,
-        exhaustive_threshold=args.exhaustive_threshold,
-        samples=args.samples,
-        json_output=args.json,
-        verbose=args.verbose,
-    )
-
     try:
-        outcome = args.func(args, cfg)
+        outcome = args.func(args)
     except (LatticeParseError, OSError, ValueError) as e:
         outcome = _Outcome(EXIT_INPUT, {"error": str(e)}, [], [f"error: {e}"])
     except SizeExceeded as e:
@@ -349,12 +326,13 @@ def main(argv: list[str] | None = None) -> int:
     except SuiteFailure as e:
         outcome = _Outcome(EXIT_FAIL, {"error": str(e)}, [e.report], [f"suite failure: {e}"])
 
-    if cfg.json_output:
+    if args.json:
         envelope = {
             "schema": "omloq.report/1",
-            "command": cfg.command,
-            "seed": cfg.seed,
-            "config": cfg.to_dict(),
+            "command": args.command,
+            "seed": args.seed,
+            "config": {key: getattr(args, key)
+                       for key in ("lin_cap", "monoid_cap", "exhaustive_threshold", "samples")},
             "verdict": _verdict(outcome.exit_code),
             "exit_code": outcome.exit_code,
             "data": outcome.data,
@@ -362,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(envelope, indent=2))
     else:
-        if cfg.verbose:
+        if args.verbose:
             for key in sorted(outcome.data):
                 print(f"# {key}: {outcome.data[key]}")
         for line in outcome.text:

@@ -107,14 +107,8 @@ def order_adjoint(f: EndoMap) -> EndoMap:
 def _galois_adjoint(f: EndoMap) -> EndoMap:
     """y -> join of {x : f(x) <= y}, with no check that f preserves joins."""
     l = f.l
-    tbl = []
-    for y in l.elements():
-        acc = l.bot
-        for x in l.elements():
-            if l.leq(f.tbl[x], y):
-                acc = l.join[acc][x]
-        tbl.append(acc)
-    return EndoMap(l, tuple(tbl))
+    return EndoMap(l, tuple(l.join_all(x for x in l.elements() if l.leq(f.tbl[x], y))
+                            for y in l.elements()))
 
 
 def orth_adjoint(f: EndoMap) -> LinMap | NotLinear:
@@ -143,22 +137,33 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
     return LinMap(f.base.after(g.base), g.adj.after(f.adj))
 
 
+def _joins(l: Oml):
+    """A pointwise join over l that runs orth_adjoint once per distinct joined table.
+
+    The memo is filled only by orth_adjoint, never from a carrier, and lives
+    as long as the returned function: one suite.
+    """
+    certified: dict[tuple[int, ...], LinMap] = {}
+
+    def join(fs) -> LinMap:
+        fs = list(fs)
+        for f in fs:
+            if f.l is not l and f.l.names != l.names:
+                raise ValueError("lattice mismatch in pointwise join")
+        tbl = tuple(l.join_all(f.base.tbl[x] for f in fs) for x in l.elements())
+        if tbl not in certified:
+            res = orth_adjoint(EndoMap(l, tbl))
+            if not isinstance(res, LinMap):
+                raise AssertionError(f"pointwise join left the carrier: {res}")
+            certified[tbl] = res
+        return certified[tbl]
+
+    return join
+
+
 def pointwise_join(l: Oml, fs) -> LinMap:
     """The pointwise join of a family of LinMaps; the empty join is the zero map."""
-    fs = list(fs)
-    for f in fs:
-        if f.l is not l and f.l.names != l.names:
-            raise ValueError("lattice mismatch in pointwise join")
-    tbl = []
-    for x in l.elements():
-        acc = l.bot
-        for f in fs:
-            acc = l.join[acc][f.base.tbl[x]]
-        tbl.append(acc)
-    res = orth_adjoint(EndoMap(l, tuple(tbl)))
-    if not isinstance(res, LinMap):
-        raise AssertionError(f"pointwise join left the carrier: {res}")
-    return res
+    return _joins(l)(fs)
 
 
 def foulis_perp(f: LinMap) -> LinMap:
@@ -212,14 +217,8 @@ def enumerate_lin(l: Oml, cap: int = DEFAULT_LIN_CAP) -> list[LinMap]:
     assignment: list[int] = []
 
     def extend_and_collect():
-        tbl = []
-        for x in l.elements():
-            acc = l.bot
-            for idx, j in enumerate(ji):
-                if l.leq(j, x):
-                    acc = l.join[acc][assignment[idx]]
-            tbl.append(acc)
-        f = EndoMap(l, tuple(tbl))
+        f = EndoMap(l, tuple(l.join_all(a for j, a in zip(ji, assignment) if l.leq(j, x))
+                             for x in l.elements()))
         res = orth_adjoint(f)
         if isinstance(res, LinMap) and f.tbl not in seen:
             seen.add(f.tbl)
@@ -283,6 +282,7 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     idx = {f.base.tbl for f in maps}
     e = identity_map(l)
     zero = zero_map(l)
+    join = _joins(l)
     # each carrier map's perp and double perp, computed once for every check below
     perps = [foulis_perp(f) for f in maps]
     dperps = [foulis_perp(p) for p in perps]
@@ -367,12 +367,11 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     r.add("lemma.item2_perp_absorbs_closure", w is None, w or "")
 
     w = next((f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps)
-              if foulis_perp(pointwise_join(l, [xpp])).base.tbl != xp.base.tbl), None)
+              if foulis_perp(join([xpp])).base.tbl != xp.base.tbl), None)
     if w is None:
         w = next(
             (f"x={x!r} y={y!r}" for x, xpp in zip(maps, dperps) for y, ypp in zip(maps, dperps)
-             if foulis_perp(pointwise_join(l, [xpp, ypp])).base.tbl
-             != foulis_perp(pointwise_join(l, [x, y])).base.tbl),
+             if foulis_perp(join([xpp, ypp])).base.tbl != foulis_perp(join([x, y])).base.tbl),
             None,
         )
     r.add("lemma.item3_join_of_closures", w is None, w or "",
@@ -381,7 +380,7 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     w = next(
         (f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps) for y in maps
          if _dperp(compose(xpp, y)).base.tbl
-         != foulis_perp(pointwise_join(l, [xp, foulis_perp(pointwise_join(l, [xp, y]))])).base.tbl),
+         != foulis_perp(join([xp, foulis_perp(join([xp, y]))])).base.tbl),
         None,
     )
     r.add("lemma.item4_sasaki_identity", w is None, w or "")
@@ -392,6 +391,7 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
 def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     """Check that f . x = f(x) makes the lattice a left module over the maps."""
     r = ValidationReport(title=f"left module action on {l.name}")
+    join = _joins(l)
 
     bad = next((f for f in maps if join_preservation_witness(f.base) is not None), None)
     w = None
@@ -407,13 +407,13 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     else:
         w = next(
             (f"{f!r},{g!r} at {l.names[x]}" for f in maps for g in maps
-             for fg in (pointwise_join(l, [f, g]),) for x in l.elements()
+             for fg in (join([f, g]),) for x in l.elements()
              if fg.base.tbl[x] != l.join[f.base.tbl[x]][g.base.tbl[x]]),
             None,
         )
         if w is None:
             w = next((f"empty join at {l.names[x]}" for x in l.elements()
-                      if pointwise_join(l, []).base.tbl[x] != l.bot), None)
+                      if join([]).base.tbl[x] != l.bot), None)
         r.add(name, w is None, w or "")
 
     w = next(
@@ -444,6 +444,7 @@ def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso
     compared against the source lattice through pi_m -> m.
     """
     r = ValidationReport(title=f"sasaki projection lattice of Lin({l.name})")
+    join = _joins(l)
     tests: dict[int, LinMap] = {}
     for f in maps:
         p = foulis_perp(f)
@@ -468,10 +469,10 @@ def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso
             [as_index(_dperp(compose(k1, bracket(compose(bracket(k2), k1))))) for k2 in elems]
             for k1 in elems
         ],
-        [[as_index(_dperp(pointwise_join(l, [k1, k2]))) for k2 in elems] for k1 in elems],
+        [[as_index(_dperp(join([k1, k2]))) for k2 in elems] for k1 in elems],
         [as_index(bracket(k)) for k in elems],
-        bot=as_index(_dperp(pointwise_join(l, []))),
-        top=as_index(foulis_perp(orth_adjoint(zero_map(l)))),
+        bot=as_index(_dperp(join([]))),
+        top=as_index(foulis_perp(join([]))),
         name=f"tests(Lin({l.name}))",
     )
     r.extend(validate_oml(extracted), prefix="extracted.")

@@ -221,6 +221,42 @@ _FORMAT_HELP = (
 )
 
 
+def _resolve(directives, max_elements: int) -> Oml:
+    """Check the ``(lineno, directive, labels)`` triples of either format; build the Oml.
+
+    Line number 0 means the error is not tied to a line.
+    """
+    name = ""
+    names: list[str] = []
+    index: dict[str, int] = {}
+    pairs: dict[str, list[tuple[int, int]]] = {"leq": [], "perp": []}
+
+    for lineno, directive, labels in directives:
+        if directive == "name":
+            if not labels:
+                raise LatticeParseError("name directive needs a value", lineno)
+            name = " ".join(labels)
+        elif directive == "elements":
+            if not labels:
+                raise LatticeParseError("elements directive needs at least one label", lineno)
+            for label in labels:
+                if label in index:
+                    raise LatticeParseError(f"duplicate element {label!r}", lineno)
+                index[label] = len(names)
+                names.append(label)
+        elif directive in pairs:
+            if len(labels) != 2:
+                raise LatticeParseError(f"{directive} takes exactly two labels", lineno)
+            undeclared = next((label for label in labels if label not in index), None)
+            if undeclared is not None:
+                raise LatticeParseError(f"undeclared element {undeclared!r}", lineno)
+            pairs[directive].append((index[labels[0]], index[labels[1]]))
+        else:
+            raise LatticeParseError(f"unknown directive {directive!r}; {_FORMAT_HELP}", lineno)
+
+    return build_oml(names, pairs["leq"], pairs["perp"], name=name, max_elements=max_elements)
+
+
 def parse_lattice(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
     """Parse the line-oriented lattice format.
 
@@ -229,80 +265,34 @@ def parse_lattice(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
     reflexive-transitive closure is taken), ``perp a b`` (symmetric).
     ``#`` starts a comment.
     """
-    name = ""
-    names: list[str] = []
-    index: dict[str, int] = {}
-    leq_pairs: list[tuple[int, int]] = []
-    perp_pairs: list[tuple[int, int]] = []
-
-    def resolve(label: str, lineno: int) -> int:
-        if label not in index:
-            raise LatticeParseError(f"undeclared element {label!r}", lineno)
-        return index[label]
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
-        if directive == "name":
-            if not args:
-                raise LatticeParseError("name directive needs a value", lineno)
-            name = " ".join(args)
-        elif directive == "elements":
-            if not args:
-                raise LatticeParseError("elements directive needs at least one label", lineno)
-            for label in args:
-                if label in index:
-                    raise LatticeParseError(f"duplicate element {label!r}", lineno)
-                index[label] = len(names)
-                names.append(label)
-        elif directive == "leq":
-            if len(args) != 2:
-                raise LatticeParseError("leq takes exactly two labels", lineno)
-            leq_pairs.append((resolve(args[0], lineno), resolve(args[1], lineno)))
-        elif directive == "perp":
-            if len(args) != 2:
-                raise LatticeParseError("perp takes exactly two labels", lineno)
-            perp_pairs.append((resolve(args[0], lineno), resolve(args[1], lineno)))
-        else:
-            raise LatticeParseError(f"unknown directive {directive!r}; {_FORMAT_HELP}", lineno)
-
-    return build_oml(names, leq_pairs, perp_pairs, name=name, max_elements=max_elements)
+    lines = enumerate(text.splitlines(), start=1)
+    tokens = ((lineno, raw.split("#", 1)[0].split()) for lineno, raw in lines)
+    return _resolve(((lineno, t[0], t[1:]) for lineno, t in tokens if t), max_elements)
 
 
 def parse_lattice_json(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
-    """Parse the JSON mirror: {name, elements, leq: [[a,b],...], perp: {a: b}}."""
+    """Parse the JSON mirror: {name, elements, leq: [[a,b],...], perp: {a: b}}.
+
+    Each field's type is checked before any label is read.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise LatticeParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise LatticeParseError("top-level JSON value must be an object")
-    names = [str(x) for x in doc.get("elements", [])]
-    index = {label: i for i, label in enumerate(names)}
-    if len(index) != len(names):
-        raise LatticeParseError("duplicate element labels")
-
-    def resolve(label) -> int:
-        label = str(label)
-        if label not in index:
-            raise LatticeParseError(f"undeclared element {label!r}")
-        return index[label]
-
-    leq_pairs = []
-    for pair in doc.get("leq", []):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise LatticeParseError(f"leq entries must be pairs, got {pair!r}")
-        leq_pairs.append((resolve(pair[0]), resolve(pair[1])))
-    perp = doc.get("perp", {})
+    elements, leq, perp = doc.get("elements", []), doc.get("leq", []), doc.get("perp", {})
+    if not isinstance(elements, list):
+        raise LatticeParseError(f"elements must be a list of labels, got {elements!r}")
+    if not isinstance(leq, list) or not all(isinstance(pair, list) for pair in leq):
+        raise LatticeParseError("leq must be a list of two-label lists")
     if not isinstance(perp, dict):
         raise LatticeParseError(f"perp must be an object mapping labels to labels, got {perp!r}")
-    perp_pairs = [(resolve(a), resolve(b)) for a, b in perp.items()]
-    return build_oml(
-        names, leq_pairs, perp_pairs, name=str(doc.get("name", "")), max_elements=max_elements
-    )
+    directives = [(0, "name", [str(doc.get("name", ""))]),
+                  (0, "elements", [str(x) for x in elements])]
+    directives += [(0, "leq", [str(x) for x in pair]) for pair in leq]
+    directives += [(0, "perp", [a, str(b)]) for a, b in perp.items()]
+    return _resolve(directives, max_elements)
 
 
 def load_lattice(path: str, max_elements: int = MAX_ELEMENTS) -> Oml:

@@ -70,6 +70,39 @@ def test_check_exit_codes(lattice_file, schema, tmp_path):
     assert "perp must be an object" in doc["data"]["error"]
 
 
+@pytest.mark.parametrize(
+    "bad_doc",
+    [
+        {"elements": 5},
+        {"elements": ["0", "1"], "leq": 5},
+        {"leq": [5]},
+        {"elements": ["0", "1"], "leq": [["0", "1"]], "perp": "0 1"},
+    ],
+)
+def test_json_lattice_field_types(bad_doc, schema, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad_doc))
+    code, doc = run_json(["check", str(path)], schema)
+    assert code == 2 and doc["verdict"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--lin-cap", "0"), ("--monoid-cap", "0"), ("--samples", "-5"),
+     ("--exhaustive-threshold", "-1")],
+)
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_out_of_range_flags_are_usage_errors(flag, value, before, lattice_file, capsys):
+    lat = lattice_file("chain2")
+    argv = [flag, value, "toda", lat] if before else ["toda", lat, flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(["--json"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least" in captured.err
+
+
 def test_sasaki_command(lattice_file, capsys):
     mo2 = lattice_file("mo", 2)
     assert main(["sasaki", mo2, "a", "b"]) == 0

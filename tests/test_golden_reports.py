@@ -2,19 +2,26 @@
 
 Criterion 12 compares two runs of the same code; these files pin the bytes
 across versions, so a refactor that changes any report shows up here.  The
-golden files were written by this suite's commands at the default seed.
+golden files were written by this suite's commands at the default seed, and
+each must also validate against the report schema, so pinned bytes cannot
+drift out of it unseen.
 """
 
 import io
+import json
 import os
 from contextlib import redirect_stdout
 
+import jsonschema
 import pytest
 
 from omloq.cli import main
 from omloq.oml import catalog, format_lattice
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SCHEMA = os.path.join(
+    os.path.dirname(__file__), "..", "src", "omloq", "schemas", "report.schema.json"
+)
 SWAP = "iso 0 0\niso a b\niso b a\niso a' b'\niso b' a'\niso 1 1\n"
 
 # golden file name -> argv, with {name} standing for the written input file
@@ -52,3 +59,11 @@ def test_report_matches_golden(case, inputs, monkeypatch):
         main(["--json"] + argv)
     with open(os.path.join(GOLDEN, f"{case}.json"), encoding="utf-8") as fh:
         assert buf.getvalue() == fh.read()
+
+
+@pytest.mark.parametrize("golden", sorted(f for f in os.listdir(GOLDEN) if f.endswith(".json")))
+def test_golden_file_matches_schema(golden):
+    with open(SCHEMA, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        jsonschema.validate(json.load(fh), schema)

@@ -274,3 +274,24 @@ def test_orth_adjoint_scans_joins_once(monkeypatch):
     assert len(maps) == 16
     assert calls["adjoint"] > 0
     assert calls["scan"] == calls["adjoint"]
+
+
+def test_suites_certify_each_joined_table_once(monkeypatch):
+    import omloq.linmap as linmap
+
+    b2 = catalog("boolean", 2)
+    maps = enumerate_lin(b2)
+    tables = []
+
+    def counted(f):
+        tables.append(f.tbl)
+        return orth_adjoint(f)
+
+    monkeypatch.setattr(linmap, "orth_adjoint", counted)
+    # verify_foulis also certifies the unit and the zero map directly, outside any join
+    for suite, direct in ((verify_foulis, 2), (verify_left_module_on_M, 0)):
+        tables.clear()
+        assert suite(b2, maps).ok
+        assert 0 < len(tables) <= len(set(tables)) + direct
+        # the carrier is closed under joins, so every joined table is a carrier table
+        assert set(tables) <= {f.base.tbl for f in maps}
