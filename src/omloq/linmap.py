@@ -11,8 +11,10 @@ checks on explicit carriers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
+from operator import getitem
 
 from .errors import SizeExceeded
 from .oml import (
@@ -137,33 +139,17 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
     return LinMap(f.base.after(g.base), g.adj.after(f.adj))
 
 
-def _joins(l: Oml):
-    """A pointwise join over l that runs orth_adjoint once per distinct joined table.
-
-    The memo is filled only by orth_adjoint, never from a carrier, and lives
-    as long as the returned function: one suite.
-    """
-    certified: dict[tuple[int, ...], LinMap] = {}
-
-    def join(fs) -> LinMap:
-        fs = list(fs)
-        for f in fs:
-            if f.l is not l and f.l.names != l.names:
-                raise ValueError("lattice mismatch in pointwise join")
-        tbl = tuple(l.join_all(f.base.tbl[x] for f in fs) for x in l.elements())
-        if tbl not in certified:
-            res = orth_adjoint(EndoMap(l, tbl))
-            if not isinstance(res, LinMap):
-                raise AssertionError(f"pointwise join left the carrier: {res}")
-            certified[tbl] = res
-        return certified[tbl]
-
-    return join
-
-
 def pointwise_join(l: Oml, fs) -> LinMap:
     """The pointwise join of a family of LinMaps; the empty join is the zero map."""
-    return _joins(l)(fs)
+    fs = list(fs)
+    for f in fs:
+        if f.l is not l and f.l.names != l.names:
+            raise ValueError("lattice mismatch in pointwise join")
+    res = orth_adjoint(EndoMap(l, tuple(l.join_all(f.base.tbl[x] for f in fs)
+                                        for x in l.elements())))
+    if not isinstance(res, LinMap):
+        raise AssertionError(f"pointwise join left the carrier: {res}")
+    return res
 
 
 def foulis_perp(f: LinMap) -> LinMap:
@@ -172,15 +158,6 @@ def foulis_perp(f: LinMap) -> LinMap:
     m = l.perp[f.base.tbl[l.top]]
     base = sasaki_map(l, m)
     return LinMap(base, base)
-
-
-def _dperp(k: LinMap) -> LinMap:
-    return foulis_perp(foulis_perp(k))
-
-
-def bracket(f: LinMap) -> LinMap:
-    """The annihilator bracket: pi at the orthocomplement of f*(top), the perp of f*."""
-    return foulis_perp(LinMap(f.adj, f.base))
 
 
 # ---------------------------------------------------------------------------
@@ -271,27 +248,115 @@ def bruteforce_lin(l: Oml) -> list[LinMap]:
 # verification suites
 
 
+class _NotInLin(Exception):
+    """A pointwise join that orth_adjoint rejected; its message is a check's witness."""
+
+
+class _Carrier:
+    """A carrier of LinMaps over l, with every table it meets interned to an int id.
+
+    The carrier's own base tables come first, so ``id < size`` means membership.
+    A composition or pairwise-join row per id is a dense array over the ``size``
+    carrier columns, built the first time it is read; a column outside the
+    carrier is computed on every read.  A perp is one of the n Sasaki tables.
+    A joined table is certified by orth_adjoint once per id, and that memo is
+    filled only by orth_adjoint, never from the carrier.
+    """
+
+    def __init__(self, l: Oml, maps: list[LinMap]):
+        if any(f.l is not l and f.l.names != l.names for f in maps):
+            raise ValueError("lattice mismatch in carrier")
+        self.l = l
+        self.tab: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.col = [self.intern(f.base.tbl) for f in maps]  # id per position in maps
+        self.size = len(self.tab)
+        self.adj = [self.intern(f.adj.tbl) for f in maps]
+        self.sas = [self.intern(sasaki_map(l, m).tbl) for m in l.elements()]
+        self.e = self.intern(identity_map(l).tbl)
+        self.zero = self.intern(zero_map(l).tbl)
+        self._comp: dict[int, array] = {}
+        self._join: dict[int, array] = {}
+        self._cert: dict[int, LinMap | NotLinear] = {}
+
+    def intern(self, tbl: tuple[int, ...]) -> int:
+        i = self.ids.get(tbl)
+        if i is None:
+            i = self.ids[tbl] = len(self.tab)
+            self.tab.append(tbl)
+        return i
+
+    def _compose(self, i: int, j: int) -> int:
+        return self.intern(tuple(map(self.tab[i].__getitem__, self.tab[j])))
+
+    def _joined(self, i: int, j: int) -> int:
+        rows = map(self.l.join.__getitem__, self.tab[i])
+        return self.intern(tuple(map(getitem, rows, self.tab[j])))
+
+    def _row(self, memo: dict[int, array], op, i: int) -> array:
+        row = memo.get(i)
+        if row is None:
+            row = memo[i] = array("i", [op(i, j) for j in range(self.size)])
+        return row
+
+    def comp_row(self, i: int) -> array:
+        """The ids of tab[i] after each carrier table, in id order."""
+        return self._row(self._comp, self._compose, i)
+
+    def comp(self, i: int, j: int) -> int:
+        """The id of tab[i] after tab[j]."""
+        return self._row(self._comp, self._compose, i)[j] if j < self.size else self._compose(i, j)
+
+    def join(self, i: int, j: int) -> int:
+        """The id of the certified pointwise join of tab[i] and tab[j]."""
+        v = self._row(self._join, self._joined, i)[j] if j < self.size else self._joined(i, j)
+        return self.lin(v)
+
+    def lin(self, i: int) -> int:
+        """i, once orth_adjoint has certified tab[i]; raises _NotInLin if it is not linear."""
+        res = self._cert.get(i)
+        if res is None:
+            res = self._cert[i] = orth_adjoint(EndoMap(self.l, self.tab[i]))
+        if not isinstance(res, LinMap):
+            raise _NotInLin(f"pointwise join {self.show(i)} is not in Lin: {res}")
+        return i
+
+    def perp(self, i: int) -> int:
+        """The id of pi at the orthocomplement of tab[i](top)."""
+        return self.sas[self.l.perp[self.tab[i][self.l.top]]]
+
+    def show(self, i: int) -> str:
+        return "Lin" + repr(EndoMap(self.l, self.tab[i]))[4:]
+
+
+def _first(witnesses) -> str | None:
+    """The first witness, or the pointwise join that left Lin(l) during the search."""
+    try:
+        return next(witnesses, None)
+    except _NotInLin as e:
+        return str(e)
+
+
 def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     """Check the Foulis-quantale axioms on an explicit carrier of maps.
 
     The existential axiom and closure-sensitive identities are marked
     inconclusive when the carrier is not closed under the operations they
-    quantify over.
+    quantify over.  A pointwise join that is not in Lin(l) fails the check
+    that took it, with the NotLinear in the witness.
     """
     r = ValidationReport(title=f"foulis quantale on {len(maps)} maps over {l.name}")
-    idx = {f.base.tbl for f in maps}
-    e = identity_map(l)
-    zero = zero_map(l)
-    join = _joins(l)
-    # each carrier map's perp and double perp, computed once for every check below
-    perps = [foulis_perp(f) for f in maps]
-    dperps = [foulis_perp(p) for p in perps]
+    c = _Carrier(l, maps)
+    size, cols, zero = c.size, c.col, c.zero
+    # each carrier map's perp and double perp, read by every check below
+    perps = [c.perp(i) for i in cols]
+    dperps = [c.perp(p) for p in perps]
 
     is_closed = (
-        e.tbl in idx
-        and zero.tbl in idx
-        and all(f.adj.tbl in idx and p.base.tbl in idx for f, p in zip(maps, perps))
-        and all(f.base.after(g.base).tbl in idx for f in maps for g in maps)
+        c.e < size
+        and zero < size
+        and all(a < size and p < size for a, p in zip(c.adj, perps))
+        and all(v < size for i in range(size) for v in c.comp_row(i))
     )
     r.add(
         "carrier.closed",
@@ -301,12 +366,11 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         else "carrier not closed: existential checks below are inconclusive",
     )
 
-    w = next((repr(s) for s, p in zip(maps, perps)
-              if p.base.after(p.base).tbl != p.base.tbl or p.adj.tbl != p.base.tbl), None)
+    # a perp is a Sasaki table taken as its own adjoint, so only idempotence can fail
+    w = next((repr(s) for s, p in zip(maps, perps) if c.comp(p, p) != p), None)
     r.add("FQ1_O1.self_adjoint_idempotent", w is None, w or "")
 
-    e_lin = orth_adjoint(e)
-    r.add("O2.unit_perp_is_zero", foulis_perp(e_lin).base.tbl == zero.tbl)
+    r.add("O2.unit_perp_is_zero", c.perp(c.e) == zero)
 
     name = "O3.perp_factorization"
     if not is_closed:
@@ -314,74 +378,70 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     else:
         # x is annihilated by s exactly when it lies in the right ideal s-perp . maps;
         # one ideal per distinct perp table, so a wrong perp still shows
-        ideals = {t: {p.base.after(y.base).tbl for y in maps}
-                  for t, p in {k.base.tbl: k for k in perps}.items()}
+        ideals = {p: set(c.comp_row(p)) for p in perps}
         w = next(
-            (f"s={s!r} x={x!r}" for s, p in zip(maps, perps) for x in maps
-             if (s.adj.after(x.base).tbl == zero.tbl) != (x.base.tbl in ideals[p.base.tbl])),
+            (f"s={s!r} x={x!r}" for s, a, p in zip(maps, c.adj, perps) for x, i in zip(maps, cols)
+             if (c.comp(a, i) == zero) != (i in ideals[p])),
             None,
         )
         r.add(name, w is None, w or "")
 
     w = next(
-        (f"r={rr!r} t={t!r}" for rr, rp in zip(maps, perps) for t in maps
-         if (rr.adj.after(t.base).tbl == zero.tbl) != (rp.base.after(t.base).tbl == t.base.tbl)),
+        (f"r={rr!r} t={t!r}" for rr, a, rp in zip(maps, c.adj, perps) for t, i in zip(maps, cols)
+         if (c.comp(a, i) == zero) != (c.comp(rp, i) == i)),
         None,
     )
     r.add("star.annihilation_iff_below_perp", w is None, w or "",
           detail="t <= r-perp unfolds to the same fixed-point equation")
 
     w = next(
-        (f"t={t!r} r={rr!r}" for t, tp in zip(maps, perps) for rr, rp in zip(maps, perps)
-         if rr.base.after(t.base).tbl == t.base.tbl and tp.base.after(rp.base).tbl != rp.base.tbl),
+        (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
+         for rr, j, rp in zip(maps, cols, perps)
+         if c.comp(j, i) == i and c.comp(tp, rp) != rp),
         None,
     )
     r.add("star2.perp_antitone", w is None, w or "")
 
-    w = next((repr(k) for k, kp in zip(perps, dperps)
-              if foulis_perp(kp).base.tbl != k.base.tbl), None)
+    w = next((c.show(k) for k, kk in zip(perps, dperps) if c.perp(kk) != k), None)
     r.add("star2.double_perp_fixes_tests", w is None, w or "")
 
     w = next(
-        (f"t={t!r} r={rr!r}" for t, tp in zip(maps, perps) for rr, rp in zip(maps, perps)
-         if (rp.base.after(t.base).tbl == t.base.tbl)
-         != (tp.base.after(rr.base).tbl == rr.base.tbl)),
+        (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
+         for rr, j, rp in zip(maps, cols, perps)
+         if (c.comp(rp, i) == i) != (c.comp(tp, j) == j)),
         None,
     )
     r.add("star3.perp_exchange", w is None, w or "")
 
-    zero_lin = orth_adjoint(zero)
     r.add(
         "lemma.item1_bounds",
-        foulis_perp(zero_lin).base.tbl == e.tbl
-        and foulis_perp(foulis_perp(e_lin)).base.tbl == e.tbl
-        and foulis_perp(e_lin).base.tbl == zero.tbl
-        and foulis_perp(foulis_perp(zero_lin)).base.tbl == zero.tbl,
+        c.perp(zero) == c.e
+        and c.perp(c.perp(c.e)) == c.e
+        and c.perp(c.e) == zero
+        and c.perp(c.perp(zero)) == zero,
     )
 
     w = next(
-        (f"x={x!r} y={y!r}" for x in maps for y, ypp in zip(maps, dperps)
-         if foulis_perp(compose(x, ypp)).base.tbl != foulis_perp(compose(x, y)).base.tbl),
+        (f"x={x!r} y={y!r}" for x, i in zip(maps, cols) for y, j, ypp in zip(maps, cols, dperps)
+         if c.perp(c.comp(i, ypp)) != c.perp(c.comp(i, j))),
         None,
     )
     r.add("lemma.item2_perp_absorbs_closure", w is None, w or "")
 
-    w = next((f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps)
-              if foulis_perp(join([xpp])).base.tbl != xp.base.tbl), None)
+    w = _first(f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps)
+               if c.perp(c.lin(xpp)) != xp)
     if w is None:
-        w = next(
-            (f"x={x!r} y={y!r}" for x, xpp in zip(maps, dperps) for y, ypp in zip(maps, dperps)
-             if foulis_perp(join([xpp, ypp])).base.tbl != foulis_perp(join([x, y])).base.tbl),
-            None,
+        w = _first(
+            f"x={x!r} y={y!r}" for x, i, xpp in zip(maps, cols, dperps)
+            for y, j, ypp in zip(maps, cols, dperps)
+            if c.perp(c.join(xpp, ypp)) != c.perp(c.join(i, j))
         )
     r.add("lemma.item3_join_of_closures", w is None, w or "",
           detail="families: singletons and pairs")
 
-    w = next(
-        (f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps) for y in maps
-         if _dperp(compose(xpp, y)).base.tbl
-         != foulis_perp(join([xp, foulis_perp(join([xp, y]))])).base.tbl),
-        None,
+    w = _first(
+        f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps) for y, j in zip(maps, cols)
+        if c.perp(c.perp(c.comp(xpp, j))) != c.perp(c.join(xp, c.perp(c.join(xp, j))))
     )
     r.add("lemma.item4_sasaki_identity", w is None, w or "")
 
@@ -391,7 +451,8 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
 def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     """Check that f . x = f(x) makes the lattice a left module over the maps."""
     r = ValidationReport(title=f"left module action on {l.name}")
-    join = _joins(l)
+    c = _Carrier(l, maps)
+    cols = list(zip(maps, c.col))
 
     bad = next((f for f in maps if join_preservation_witness(f.base) is not None), None)
     w = None
@@ -405,21 +466,19 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     if bad is not None:
         r.add_inconclusive(name, detail="A1 failed")
     else:
-        w = next(
-            (f"{f!r},{g!r} at {l.names[x]}" for f in maps for g in maps
-             for fg in (join([f, g]),) for x in l.elements()
-             if fg.base.tbl[x] != l.join[f.base.tbl[x]][g.base.tbl[x]]),
-            None,
+        w = _first(
+            f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
+            for x, v in enumerate(c.tab[c.join(i, j)])
+            if v != l.join[f.base.tbl[x]][g.base.tbl[x]]
         )
         if w is None:
-            w = next((f"empty join at {l.names[x]}" for x in l.elements()
-                      if join([]).base.tbl[x] != l.bot), None)
+            w = _first(f"empty join at {l.names[x]}"
+                       for x, v in enumerate(c.tab[c.lin(c.zero)]) if v != l.bot)
         r.add(name, w is None, w or "")
 
     w = next(
-        (f"{f!r},{g!r} at {l.names[x]}" for f in maps for g in maps
-         for fg in (compose(f, g),) for x in l.elements()
-         if fg.base.tbl[x] != f.base.tbl[g.base.tbl[x]]),
+        (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
+         for x, v in enumerate(c.tab[c.comp(i, j)]) if v != f.base.tbl[g.base.tbl[x]]),
         None,
     )
     r.add("A3.composition_associates_with_action", w is None, w or "")
@@ -438,41 +497,48 @@ def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso
     """Extract the orthomodular lattice of perp-images from a carrier of maps.
 
     Order, orthocomplement, meet and join are computed from the quantale
-    operations alone (k1 <= k2 iff k1 = k2.k1, perp via the bracket, meet by
-    the bracket formula, join as the double perp of the pointwise join); the
-    result is materialized as an Oml indexed by m = k(top), validated, and
-    compared against the source lattice through pi_m -> m.
+    operations alone (k1 <= k2 iff k1 = k2.k1, perp via the bracket, which is
+    the perp on these self-adjoint tests, meet by the bracket formula, join as
+    the double perp of the pointwise join); the result is materialized as an
+    Oml indexed by m = k(top), validated, and compared against the source
+    lattice through pi_m -> m.  A pointwise join that is not in Lin(l) ends
+    the extraction with a failed ``tests.pointwise_joins_linear``.
     """
     r = ValidationReport(title=f"sasaki projection lattice of Lin({l.name})")
-    join = _joins(l)
-    tests: dict[int, LinMap] = {}
-    for f in maps:
-        p = foulis_perp(f)
-        tests[p.base.tbl[l.top]] = p
+    c = _Carrier(l, maps)
+
+    def as_index(k: int) -> int:
+        return c.tab[k][l.top]
+
+    def dperp(k: int) -> int:
+        return c.perp(c.perp(k))
+
+    tests = {as_index(p): p for p in map(c.perp, c.col)}
     r.add(
         "tests.one_per_element",
         sorted(tests) == list(l.elements()),
         detail=f"{len(tests)} perp-images",
     )
+    if r.ok:
+        elems = [tests[m] for m in l.elements()]
+        try:
+            meets = [[as_index(dperp(c.comp(k1, c.perp(c.comp(k1, c.perp(k2)))))) for k2 in elems]
+                     for k1 in elems]
+            joins = [[as_index(dperp(c.join(k1, k2))) for k2 in elems] for k1 in elems]
+            zero = c.lin(c.zero)
+        except _NotInLin as e:
+            r.add("tests.pointwise_joins_linear", False, str(e))
     if not r.ok:
         return l, OrthoIso(l, l, tuple(l.elements())), r
 
-    elems = [tests[m] for m in l.elements()]
-
-    def as_index(k: LinMap) -> int:
-        return k.base.tbl[l.top]
-
     extracted = oml_from_tables(
         [f"[{name}]" for name in l.names],
-        lambda i, j: elems[j].base.after(elems[i].base).tbl == elems[i].base.tbl,
-        [
-            [as_index(_dperp(compose(k1, bracket(compose(bracket(k2), k1))))) for k2 in elems]
-            for k1 in elems
-        ],
-        [[as_index(_dperp(join([k1, k2]))) for k2 in elems] for k1 in elems],
-        [as_index(bracket(k)) for k in elems],
-        bot=as_index(_dperp(join([]))),
-        top=as_index(foulis_perp(join([]))),
+        lambda i, j: c.comp(elems[j], elems[i]) == elems[i],
+        meets,
+        joins,
+        [as_index(c.perp(k)) for k in elems],
+        bot=as_index(dperp(zero)),
+        top=as_index(c.perp(zero)),
         name=f"tests(Lin({l.name}))",
     )
     r.extend(validate_oml(extracted), prefix="extracted.")

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 
@@ -121,8 +122,18 @@ def test_criterion_04_galois_adjunction():
                         assert l.leq(proj[x], y) == l.leq(x, hook[y])
 
 
+def join_preserving_tables(l):
+    """Every endomap table of l that keeps bottom and all binary joins, by brute force."""
+    pairs = [(x, y) for x in l.elements() for y in l.elements() if x < y]
+    return {
+        t for t in product(l.elements(), repeat=l.n)
+        if t[l.bot] == l.bot and all(t[l.join[x][y]] == l.join[t[x]][t[y]] for x, y in pairs)
+    }
+
+
 def test_criterion_05_foulis_suite_with_oracle():
-    with criterion(5, 30, "foulis axioms on Lin(chain2) and Lin(B2); counts match oracle"):
+    label = "foulis axioms on Lin(chain2), Lin(B2), Lin(MO2), Lin(B3); counts match oracles"
+    with criterion(5, 30, label):
         for l in (catalog("chain2"), catalog("boolean", 2)):
             fast = enumerate_lin(l)
             slow = bruteforce_lin(l)
@@ -130,11 +141,22 @@ def test_criterion_05_foulis_suite_with_oracle():
             assert [f.base.tbl for f in fast] == [f.base.tbl for f in slow]
             rep = verify_foulis(l, fast)
             assert rep.ok, (l.name, [c.name for c in rep.failures])
+        # bruteforce_lin stops at n <= 5: a brute force over the 6^6 tables of MO2,
+        # and the closed form (2^k)^k for the Boolean algebra with k atoms
+        mo2, b3 = catalog("mo", 2), catalog("boolean", 3)
+        mo2_maps, b3_maps = enumerate_lin(mo2), enumerate_lin(b3)
+        assert {f.base.tbl for f in mo2_maps} == join_preserving_tables(mo2)
+        assert len(mo2_maps) == 234
+        assert len(b3_maps) == (2**3) ** 3 == 512
+        for l, maps in ((mo2, mo2_maps), (b3, b3_maps)):
+            rep = verify_foulis(l, maps)
+            assert rep.ok, (l.name, [c.name for c in rep.failures])
 
 
 def test_criterion_06_projection_lattice_isomorphism():
     with criterion(6, 10, "sasaki projection lattice of Lin(M) is ortho-isomorphic to M"):
-        for l in (catalog("chain2"), catalog("boolean", 2), catalog("mo", 2)):
+        for name, k in (("chain2", 0), ("boolean", 2), ("mo", 2), ("boolean", 3)):
+            l = catalog(name, k)
             extracted, iso, rep = sasaki_projection_lattice(l, enumerate_lin(l))
             assert rep.ok, (l.name, [(c.name, c.witness) for c in rep.failures])
             assert check_ortho_iso(iso).ok

@@ -4,7 +4,8 @@ Criterion 12 compares two runs of the same code; these files pin the bytes
 across versions, so a refactor that changes any report shows up here.  The
 golden files were written by this suite's commands at the default seed, and
 each must also validate against the report schema, so pinned bytes cannot
-drift out of it unseen.
+drift out of it unseen.  ``lin_variants.json`` holds library suite reports,
+not CLI reports, and is compared in ``test_linmap.py``.
 """
 
 import io
@@ -61,7 +62,7 @@ def test_report_matches_golden(case, inputs, monkeypatch):
         assert buf.getvalue() == fh.read()
 
 
-@pytest.mark.parametrize("golden", sorted(f for f in os.listdir(GOLDEN) if f.endswith(".json")))
+@pytest.mark.parametrize("golden", sorted(f"{case}.json" for case in CASES))
 def test_golden_file_matches_schema(golden):
     with open(SCHEMA, encoding="utf-8") as fh:
         schema = json.load(fh)

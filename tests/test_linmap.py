@@ -1,8 +1,14 @@
+import dataclasses
+import json
+import os
+import random
+
 import pytest
 
 from omloq.errors import SizeExceeded
 from omloq.linmap import (
     EndoMap,
+    _Carrier,
     LinMap,
     NotLinear,
     bruteforce_lin,
@@ -22,6 +28,8 @@ from omloq.linmap import (
     zero_map,
 )
 from omloq.oml import catalog, check_ortho_iso, sasaki_hook
+
+LIN_VARIANTS = os.path.join(os.path.dirname(__file__), "golden", "lin_variants.json")
 
 
 def const_top(l):
@@ -295,3 +303,95 @@ def test_suites_certify_each_joined_table_once(monkeypatch):
         assert 0 < len(tables) <= len(set(tables)) + direct
         # the carrier is closed under joins, so every joined table is a carrier table
         assert set(tables) <= {f.base.tbl for f in maps}
+
+
+def broken_boolean2():
+    """boolean(2) with one join-table entry changed: p v q = p."""
+    b2 = catalog("boolean", 2)
+    p, q = b2.index("p"), b2.index("q")
+    join = [list(row) for row in b2.join]
+    join[p][q] = join[q][p] = p
+    return b2, dataclasses.replace(b2, join=tuple(map(tuple, join)))
+
+
+@pytest.mark.parametrize("suite, check", [
+    (verify_foulis, "lemma.item3_join_of_closures"),
+    (verify_left_module_on_M, "A2.joins_of_maps_act_pointwise"),
+    (lambda l, maps: sasaki_projection_lattice(l, maps)[2], "tests.pointwise_joins_linear"),
+], ids=["foulis", "module", "extraction"])
+def test_suites_report_a_non_linear_pointwise_join(suite, check):
+    b2, broken = broken_boolean2()
+    rep = suite(broken, enumerate_lin(b2))
+    assert rep[check].status == "fail"
+    assert "is not in Lin: NotLinear(" in rep[check].witness
+
+
+def lin_variants(l):
+    """Nine carriers over l: the enumerated one, six cut or altered copies and three halves."""
+    maps = enumerate_lin(l)
+    k = len(maps)
+    out = {
+        "full": maps,
+        "first": maps[:1],
+        "every_other": maps[::2],
+        "minus_middle": maps[: k // 2] + maps[k // 2 + 1:],
+        "shifted_adjoints": [LinMap(f.base, maps[(i + 1) % k].adj) for i, f in enumerate(maps)],
+        "reversed": maps[::-1],
+    }
+    for seed in (1, 2, 3):
+        out[f"half_{seed}"] = random.Random(seed).sample(maps, k // 2)
+    return out
+
+
+def lin_variant_reports():
+    """The three Lin suites' reports on nine carriers each of Lin(chain2), Lin(B2), Lin(MO1)."""
+    out = {}
+    for l in (catalog("chain2"), catalog("boolean", 2), catalog("mo", 1)):
+        for name, maps in lin_variants(l).items():
+            reports = [verify_foulis(l, maps), verify_left_module_on_M(l, maps),
+                       sasaki_projection_lattice(l, maps)[2]]
+            out[f"{l.name}/{name}"] = [r.to_dict() for r in reports]
+    return out
+
+
+def test_lin_variants_match_golden():
+    # the golden file was written by the per-call suites that predate the indexed carrier
+    with open(LIN_VARIANTS, encoding="utf-8") as fh:
+        assert lin_variant_reports() == json.load(fh)
+
+
+def carrier_cases():
+    """Lin(chain2), Lin(B2) and Lin(MO1), each whole, every other map and with shifted adjoints."""
+    for l in (catalog("chain2"), catalog("boolean", 2), catalog("mo", 1)):
+        variants = lin_variants(l)
+        for name in ("full", "every_other", "shifted_adjoints"):
+            maps = variants[name]
+            yield l, maps, [(f, g) for f in maps for g in maps]
+    mo2 = catalog("mo", 2)
+    maps = enumerate_lin(mo2)
+    rng = random.Random(7)
+    yield mo2, maps, [tuple(rng.sample(maps, 2)) for _ in range(400)]
+
+
+def test_carrier_tables_match_the_per_call_operations():
+    for l, maps, pairs in carrier_cases():
+        c = _Carrier(l, maps)
+        for f, i, a in zip(maps, c.col, c.adj):
+            assert i < c.size and c.tab[i] == f.base.tbl and c.tab[a] == f.adj.tbl
+            assert c.tab[c.perp(i)] == foulis_perp(f).base.tbl
+        for f, g in pairs:
+            i, j = c.ids[f.base.tbl], c.ids[g.base.tbl]
+            assert c.tab[c.comp(i, j)] == compose(f, g).base.tbl
+            assert c.tab[c.join(i, j)] == pointwise_join(l, [f, g]).base.tbl
+            # perps lie outside a carrier that is not closed: those columns are computed directly
+            p = c.perp(j)
+            assert c.tab[c.comp(i, p)] == compose(f, foulis_perp(g)).base.tbl
+            assert c.tab[c.join(i, p)] == pointwise_join(l, [f, foulis_perp(g)]).base.tbl
+        assert c.tab[c.lin(c.zero)] == pointwise_join(l, []).base.tbl
+
+
+if __name__ == "__main__":
+    # rewrites the golden file from whichever omloq is importable
+    with open(LIN_VARIANTS, "w", encoding="utf-8") as fh:
+        json.dump(lin_variant_reports(), fh, indent=1)
+        fh.write("\n")
