@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, sasaki, linmaps, tmonoid, toda, equiv, witness.
-Exit codes: 0 pass, 1 axiom or property failure, 2 input error,
-3 resource cap exceeded.  Reports are deterministic for a fixed seed; the
+Exit codes: 0 every check in the report passes, 1 some check does not,
+2 input error, 3 resource cap exceeded.  Reports are deterministic for a fixed seed; the
 OMLOQ_SEED environment variable overrides the configured seed.
 """
 
@@ -27,6 +27,7 @@ from .linmap import (
 from .oml import (
     Oml,
     OrthoIso,
+    _token_lines,
     check_ortho_iso,
     load_lattice,
     sasaki_hook,
@@ -42,12 +43,8 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-class _Outcome:
-    def __init__(self, exit_code: int, data: dict, reports: list[ValidationReport], text: list[str]):
-        self.exit_code = exit_code
-        self.data = data
-        self.reports = reports
-        self.text = text
+# what a command returns: its data, the reports its verdict rests on, and its text lines
+_Outcome = tuple[dict, list[ValidationReport], list[str]]
 
 
 def _policy(args) -> SamplePolicy:
@@ -75,21 +72,18 @@ def _flatten(reports: list[ValidationReport]) -> list[dict]:
 def _parse_morphism_file(path: str, l: Oml) -> OrthoIso:
     tbl = [-1] * l.n
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if tokens[0] != "iso" or len(tokens) != 3:
-                raise LatticeParseError(f"expected 'iso <src> <dst>', got {line!r}", lineno)
-            try:
-                src = l.index(tokens[1])
-                dst = l.index(tokens[2])
-            except KeyError as e:
-                raise LatticeParseError(str(e), lineno) from None
-            if tbl[src] != -1:
-                raise LatticeParseError(f"duplicate mapping for {tokens[1]!r}", lineno)
-            tbl[src] = dst
+        text = fh.read()
+    for lineno, tokens in _token_lines(text):
+        if tokens[0] != "iso" or len(tokens) != 3:
+            raise LatticeParseError(f"expected 'iso <src> <dst>', got {' '.join(tokens)!r}", lineno)
+        try:
+            src = l.index(tokens[1])
+            dst = l.index(tokens[2])
+        except KeyError as e:
+            raise LatticeParseError(str(e), lineno) from None
+        if tbl[src] != -1:
+            raise LatticeParseError(f"duplicate mapping for {tokens[1]!r}", lineno)
+        tbl[src] = dst
     missing = [l.names[i] for i in range(l.n) if tbl[i] == -1]
     if missing:
         raise LatticeParseError(f"morphism does not cover elements: {missing}")
@@ -106,9 +100,7 @@ def _parse_morphism_file(path: str, l: Oml) -> OrthoIso:
 def cmd_check(args) -> _Outcome:
     l = load_lattice(args.file)
     rep = validate_oml(l)
-    code = EXIT_PASS if rep.ok else EXIT_FAIL
-    data = {"lattice": l.name, "elements": list(l.names)}
-    return _Outcome(code, data, [rep], rep.lines())
+    return {"lattice": l.name, "elements": list(l.names)}, [rep], rep.lines()
 
 
 def cmd_sasaki(args) -> _Outcome:
@@ -121,7 +113,7 @@ def cmd_sasaki(args) -> _Outcome:
     pi = sasaki_projection(l, m, x)
     hook = sasaki_hook(l, m, x)
     data = {"lattice": l.name, "m": args.m, "n": args.n, "pi": l.names[pi], "hook": l.names[hook]}
-    return _Outcome(EXIT_PASS, data, [], [f"pi={l.names[pi]} hook={l.names[hook]}"])
+    return data, [], [f"pi={l.names[pi]} hook={l.names[hook]}"]
 
 
 def _on_valid_lattice(cmd):
@@ -131,7 +123,7 @@ def _on_valid_lattice(cmd):
         l = load_lattice(args.file)
         rep = validate_oml(l)
         if not rep.ok:
-            return _Outcome(EXIT_FAIL, {"lattice": l.name}, [rep], rep.lines())
+            return {"lattice": l.name}, [rep], rep.lines()
         return cmd(l, args)
 
     return run
@@ -144,12 +136,11 @@ def cmd_linmaps(l: Oml, args) -> _Outcome:
     module = verify_left_module_on_M(l, maps)
     _, _, extraction = sasaki_projection_lattice(l, maps)
     reports = [foulis, module, extraction]
-    code = EXIT_PASS if all(r.ok for r in reports) else EXIT_FAIL
     data = {"lattice": l.name, "carrier_size": len(maps)}
     text = [f"carrier: {len(maps)} maps"]
     for r in reports:
         text.extend(r.lines())
-    return _Outcome(code, data, reports, text)
+    return data, reports, text
 
 
 @_on_valid_lattice
@@ -166,19 +157,18 @@ def cmd_tmonoid(l: Oml, args) -> _Outcome:
         export_cayley_csv(monoid, args.cayley_csv)
         data["cayley_csv"] = args.cayley_csv
         text.append(f"cayley table written to {args.cayley_csv}")
-    return _Outcome(EXIT_PASS, data, [], text)
+    return data, [], text
 
 
 @_on_valid_lattice
 def cmd_toda(l: Oml, args) -> _Outcome:
     h = gamma_object(l, _policy(args), monoid_cap=args.monoid_cap, require=False)
     reports = list(h.suites.values())
-    code = EXIT_PASS if h.verified else EXIT_FAIL
     data = {"lattice": l.name, "monoid_size": h.monoid.size}
     text = []
     for r in reports:
         text.extend(r.lines())
-    return _Outcome(code, data, reports, text)
+    return data, reports, text
 
 
 @_on_valid_lattice
@@ -194,9 +184,8 @@ def cmd_equiv(l: Oml, args) -> _Outcome:
             )
         morphisms.append(iso)
     rep = round_trip_report(l, morphisms, _policy(args), monoid_cap=args.monoid_cap)
-    code = EXIT_PASS if rep.ok else EXIT_FAIL
     data = {"lattice": l.name, "morphisms": [m.name for m in morphisms]}
-    return _Outcome(code, data, [rep], rep.lines())
+    return data, [rep], rep.lines()
 
 
 def cmd_witness(args) -> _Outcome:
@@ -216,13 +205,12 @@ def cmd_witness(args) -> _Outcome:
     vr = ValidationReport(title="hilbert witness")
     for name, value in rep.facts():
         vr.add(name, value)
-    code = EXIT_PASS if rep.ok else EXIT_FAIL
     text = vr.lines()
     text.append(f"pi_u(x) = {rep.pi_u_x}")
     text.append(f"pi_v(x) = {rep.pi_v_x}")
     if not rep.monotone_violation and rep.u_below_v:
         text.append("non-witness input: the projections are nested (monotone case)")
-    return _Outcome(code, rep.to_dict(), [vr], text)
+    return rep.to_dict(), [vr], text
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +305,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: OMLOQ_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return EXIT_INPUT
 
+    code = None  # set only where no check ran; otherwise the reports decide it
     try:
-        outcome = args.func(args)
+        data, reports, text = args.func(args)
     except (LatticeParseError, OSError, ValueError) as e:
-        outcome = _Outcome(EXIT_INPUT, {"error": str(e)}, [], [f"error: {e}"])
+        code, data, reports, text = EXIT_INPUT, {"error": str(e)}, [], [f"error: {e}"]
     except SizeExceeded as e:
-        outcome = _Outcome(EXIT_CAP, {"error": str(e)}, [], [f"cap exceeded: {e}"])
+        code, data, reports, text = EXIT_CAP, {"error": str(e)}, [], [f"cap exceeded: {e}"]
     except SuiteFailure as e:
-        outcome = _Outcome(EXIT_FAIL, {"error": str(e)}, [e.report], [f"suite failure: {e}"])
+        data, reports, text = {"error": str(e)}, [e.report], [f"suite failure: {e}"]
+    if code is None:
+        code = EXIT_PASS if all(r.ok for r in reports) else EXIT_FAIL
 
     if args.json:
         envelope = {
@@ -333,20 +324,20 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "config": {key: getattr(args, key)
                        for key in ("lin_cap", "monoid_cap", "exhaustive_threshold", "samples")},
-            "verdict": _verdict(outcome.exit_code),
-            "exit_code": outcome.exit_code,
-            "data": outcome.data,
-            "checks": _flatten(outcome.reports),
+            "verdict": _verdict(code),
+            "exit_code": code,
+            "data": data,
+            "checks": _flatten(reports),
         }
         print(json.dumps(envelope, indent=2))
     else:
         if args.verbose:
-            for key in sorted(outcome.data):
-                print(f"# {key}: {outcome.data[key]}")
-        for line in outcome.text:
+            for key in sorted(data):
+                print(f"# {key}: {data[key]}")
+        for line in text:
             print(line)
-        print(f"verdict: {_verdict(outcome.exit_code)}")
-    return outcome.exit_code
+        print(f"verdict: {_verdict(code)}")
+    return code
 
 
 if __name__ == "__main__":

@@ -67,6 +67,7 @@ class DynAlgebra:
         self.l = monoid.l
         self.carrier = tuple(sorted(carrier)) if carrier is not None else tuple(monoid.ids())
         self._cache: dict = {}
+        self._actions: dict[tuple[int, ...], tuple[int, ...]] = {}  # action table per element
         self._top = tuple(e.tbl[self.l.top] for e in monoid.elems)  # x(top) per monoid id
         self._tests = tuple(DynElem(self, (g,)) for g in monoid.gen_id)  # delta(m) per m
 
@@ -142,13 +143,10 @@ class DynAlgebra:
         return m
 
     def action_table(self, k: DynElem) -> tuple[int, ...]:
-        """k's action on every test; built once per singleton, on each call otherwise."""
-        if len(k.ids) != 1:
-            return tuple(self.action(k, v) for v in self.l.elements())
-        key = ("action", k.ids[0])
-        if key not in self._cache:
-            self._cache[key] = tuple(self.action(k, v) for v in self.l.elements())
-        return self._cache[key]
+        """k's action on every test, built once per element; the suites' samples bound the memo."""
+        if k.ids not in self._actions:
+            self._actions[k.ids] = tuple(self.action(k, v) for v in self.l.elements())
+        return self._actions[k.ids]
 
     def equiv(self, s: DynElem, t: DynElem) -> bool:
         """True when s and t act identically on every test."""
@@ -454,14 +452,7 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
         r.add("precondition.test_lattice", False, "test lattice extraction failed")
         return r
 
-    tables: dict[DynElem, tuple[int, ...]] = {}
-
-    def act(k: DynElem) -> tuple[int, ...]:
-        """k's action on every test, computed once per sampled element."""
-        if k not in tables:
-            tables[k] = alg.action_table(k)
-        return tables[k]
-
+    act = alg.action_table
     w = None
     for k in elems:
         a = act(k)
@@ -477,14 +468,14 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
 
     w = next(
         (f"family size {len(fam)} at {l.names[v]}" for fam in families
-         for total in (alg.action_table(alg.union_all(fam)),) for v in tests
+         for total in (act(alg.union_all(fam)),) for v in tests
          if total[v] != tk.join_all(act(t)[v] for t in fam)),
         None,
     )
     r.add("A2.joins_act_pointwise", w is None, w or "")
 
     w = next((f"u={u!r} s={s!r} v={l.names[v]}" for u, s in pairs
-              for us in (alg.action_table(alg.mul(u, s)),) for v in tests
+              for us in (act(alg.mul(u, s)),) for v in tests
               if us[v] != act(u)[act(s)[v]]), None)
     r.add("A3.product_acts_by_composition", w is None, w or "")
 

@@ -40,7 +40,10 @@ class TodaHandle:
     test_oml: Oml
     delta: OrthoIso
     suites: dict[str, ValidationReport] = field(default_factory=dict)
-    verified: bool = False
+
+    @property
+    def verified(self) -> bool:
+        return all(r.ok for r in self.suites.values())
 
     def __repr__(self) -> str:
         return f"TodaHandle({self.oml.name}, |T|={self.monoid.size}, verified={self.verified})"
@@ -69,7 +72,6 @@ def gamma_object(
         "module": verify_module(alg, policy),
     }
     handle = TodaHandle(m, monoid, alg, test_oml, delta, suites)
-    handle.verified = all(r.ok for r in suites.values())
     if require and not handle.verified:
         bad = [f"{k}:{c.name}" for k, r in suites.items() for c in r.failures]
         combined = ValidationReport(title=f"gamma({m.name})")
@@ -201,10 +203,10 @@ def nu_table(h: TodaHandle, target: TodaHandle) -> tuple[int, ...]:
     for f in h.monoid.ids():
         tbl = h.alg.action_table(h.alg.singleton(f))
         if tbl in seen:
-            raise SuiteFailure(
-                f"separation violated: monoid ids {seen[tbl]} and {f} share an action",
-                ValidationReport(title="nu separation"),
-            )
+            msg = f"monoid ids {seen[tbl]} and {f} share an action"
+            rep = ValidationReport(title="nu separation")
+            rep.add("separation", False, msg)
+            raise SuiteFailure(f"separation violated: {msg}", rep)
         seen[tbl] = f
         out.append(target.monoid.id_of(tbl))
     if sorted(out) != list(target.monoid.ids()):

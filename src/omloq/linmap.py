@@ -31,7 +31,7 @@ from .report import ValidationReport
 DEFAULT_LIN_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndoMap:
     l: Oml
     tbl: tuple[int, ...]
@@ -43,7 +43,7 @@ class EndoMap:
         return "EndoMap[" + " ".join(self.l.names[v] for v in self.tbl) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinMap:
     """An endomap paired with its orthogonality adjoint."""
 
@@ -454,11 +454,12 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     c = _Carrier(l, maps)
     cols = list(zip(maps, c.col))
 
-    bad = next((f for f in maps if join_preservation_witness(f.base) is not None), None)
+    # each table is read against the suite's lattice, as A2 and A3 read it
+    bad = next(((f, where) for f in maps
+                if (where := join_preservation_witness(EndoMap(l, f.base.tbl))) is not None), None)
     w = None
     if bad is not None:
-        where = ",".join(l.names[x] for x in join_preservation_witness(bad.base))
-        w = f"{bad!r} at {where or 'empty join'}"
+        w = f"{bad[0]!r} at {','.join(l.names[x] for x in bad[1]) or 'empty join'}"
     r.add("A1.action_preserves_joins_of_elements", w is None, w or "")
 
     # the pointwise join of maps that break a join need not be in the carrier

@@ -91,7 +91,6 @@ def build_oml(
     leq_pairs: list[tuple[int, int]],
     perp_pairs: list[tuple[int, int]],
     name: str = "",
-    max_elements: int = MAX_ELEMENTS,
 ) -> Oml:
     """Assemble an Oml from generating order relations and perp pairs.
 
@@ -104,8 +103,8 @@ def build_oml(
     n = len(names)
     if n == 0:
         raise LatticeParseError("no elements declared")
-    if n > max_elements:
-        raise LatticeParseError(f"{n} elements exceeds the supported maximum {max_elements}")
+    if n > MAX_ELEMENTS:
+        raise LatticeParseError(f"{n} elements exceeds the supported maximum {MAX_ELEMENTS}")
 
     up = [1 << i for i in range(n)]
     for a, b in leq_pairs:
@@ -171,17 +170,7 @@ def build_oml(
     if missing:
         raise LatticeParseError(f"perp is not a total map; missing: {missing}")
 
-    return Oml(
-        names=tuple(names),
-        up=tuple(up),
-        down=tuple(down),
-        meet=meet,
-        join=join,
-        perp=tuple(perp),
-        bot=bot,
-        top=top,
-        name=name,
-    )
+    return oml_from_tables(names, lambda i, j: up[i] >> j & 1, meet, join, perp, bot, top, name)
 
 
 def oml_from_tables(names, leq, meet, join, perp, bot: int, top: int, name: str) -> Oml:
@@ -221,7 +210,15 @@ _FORMAT_HELP = (
 )
 
 
-def _resolve(directives, max_elements: int) -> Oml:
+def _token_lines(text: str):
+    """``(lineno, tokens)`` for each line that is not blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def _resolve(directives) -> Oml:
     """Check the ``(lineno, directive, labels)`` triples of either format; build the Oml.
 
     Line number 0 means the error is not tied to a line.
@@ -254,10 +251,10 @@ def _resolve(directives, max_elements: int) -> Oml:
         else:
             raise LatticeParseError(f"unknown directive {directive!r}; {_FORMAT_HELP}", lineno)
 
-    return build_oml(names, pairs["leq"], pairs["perp"], name=name, max_elements=max_elements)
+    return build_oml(names, pairs["leq"], pairs["perp"], name=name)
 
 
-def parse_lattice(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
+def parse_lattice(text: str) -> Oml:
     """Parse the line-oriented lattice format.
 
     Directives: ``name``, ``elements`` (order fixes indices; bottom and top
@@ -265,12 +262,10 @@ def parse_lattice(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
     reflexive-transitive closure is taken), ``perp a b`` (symmetric).
     ``#`` starts a comment.
     """
-    lines = enumerate(text.splitlines(), start=1)
-    tokens = ((lineno, raw.split("#", 1)[0].split()) for lineno, raw in lines)
-    return _resolve(((lineno, t[0], t[1:]) for lineno, t in tokens if t), max_elements)
+    return _resolve((lineno, t[0], t[1:]) for lineno, t in _token_lines(text))
 
 
-def parse_lattice_json(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
+def parse_lattice_json(text: str) -> Oml:
     """Parse the JSON mirror: {name, elements, leq: [[a,b],...], perp: {a: b}}.
 
     Each field's type is checked before any label is read.
@@ -292,16 +287,16 @@ def parse_lattice_json(text: str, max_elements: int = MAX_ELEMENTS) -> Oml:
                   (0, "elements", [str(x) for x in elements])]
     directives += [(0, "leq", [str(x) for x in pair]) for pair in leq]
     directives += [(0, "perp", [a, str(b)]) for a, b in perp.items()]
-    return _resolve(directives, max_elements)
+    return _resolve(directives)
 
 
-def load_lattice(path: str, max_elements: int = MAX_ELEMENTS) -> Oml:
+def load_lattice(path: str) -> Oml:
     """Load a lattice file, dispatching on the .json extension."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
-        return parse_lattice_json(text, max_elements=max_elements)
-    return parse_lattice(text, max_elements=max_elements)
+        return parse_lattice_json(text)
+    return parse_lattice(text)
 
 
 def format_lattice(l: Oml) -> str:

@@ -176,6 +176,21 @@ def test_equiv_command(lattice_file, schema, tmp_path):
     assert code == 2
 
 
+def test_morphism_file_shares_the_lattice_tokenizer(lattice_file, schema, tmp_path):
+    mo2 = lattice_file("mo", 2)
+    spaced = tmp_path / "spaced.iso"
+    spaced.write_text("# swap a and b\n\niso 0 0\n  iso\ta b # tab\niso b a\n"
+                      "iso a' b'\niso b' a'\niso 1 1\n")
+    code, doc = run_json(["equiv", mo2, str(spaced)], schema)
+    assert code == 0 and doc["data"]["morphisms"] == ["spaced"]
+
+    malformed = tmp_path / "malformed.iso"
+    malformed.write_text("iso 0 0\niso   a\tb  b # three labels\n")
+    code, doc = run_json(["equiv", mo2, str(malformed)], schema)
+    assert code == 2
+    assert doc["data"]["error"] == "line 2: expected 'iso <src> <dst>', got 'iso a b b'"
+
+
 def test_witness_command(schema, capsys):
     assert main(["witness"]) == 0
     capsys.readouterr()

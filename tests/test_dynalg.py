@@ -248,6 +248,21 @@ def test_module_suite(algebra_for, policy, key):
     assert rep.ok, [(c.name, c.witness) for c in rep.failures]
 
 
+def test_each_action_is_computed_once(monkeypatch):
+    # a fresh algebra, so no earlier suite has filled its action tables
+    alg = DynAlgebra(generate_T(catalog("mo", 3)))
+    calls = []
+    action = DynAlgebra.action
+
+    def counted(self, k, v):
+        calls.append((k.ids, v))
+        return action(self, k, v)
+
+    monkeypatch.setattr(DynAlgebra, "action", counted)
+    assert verify_module(alg).ok
+    assert len(calls) == len(set(calls))
+
+
 def test_module_join_homomorphism_exhaustive_on_b2(algebra_for):
     # double tilde sends unions to test-lattice joins, checked on all pairs
     alg = algebra_for("boolean", 2)

@@ -2,6 +2,7 @@ import pytest
 
 from omloq.dynalg import SamplePolicy
 from omloq.equivalence import (
+    SuiteFailure,
     check_naturality_lambda,
     check_naturality_mu,
     gamma_morphism,
@@ -9,6 +10,7 @@ from omloq.equivalence import (
     lambda_component,
     mu_component,
     nu_map,
+    nu_table,
     psi_morphism,
     psi_object,
     round_trip_report,
@@ -281,3 +283,14 @@ def test_round_trip_with_relabeled_b2(pol):
     assert rep.ok, [c.name for c in rep.failures]
     assert any(c.name == "mu_naturality[relabel]" for c in rep.checks)
     assert any(c.name == "lambda_naturality[relabel]" for c in rep.checks)
+
+
+def test_nu_table_failure_names_its_check(monkeypatch):
+    h = gamma_object(catalog("boolean", 2))
+    target = gamma_object(psi_object(h))
+    monkeypatch.setattr(h.alg, "action_table", lambda k: (0,) * h.oml.n)
+    with pytest.raises(SuiteFailure) as e:
+        nu_table(h, target)
+    checks = e.value.report.checks
+    assert [(c.name, c.status) for c in checks] == [("separation", "fail")]
+    assert checks[0].witness == "monoid ids 0 and 1 share an action"

@@ -37,29 +37,50 @@ CASES = {
     "witness": ["witness"],
 }
 
+# CASES plus inputs that fail or leave the defaults, for the verdict rule
+VERDICT_CASES = {
+    **CASES,
+    "witness_x121": ["witness", "--x", "1,2,1"],
+    "witness_x100": ["witness", "--x", "1,0,0"],
+    "check_o6": ["check", "{o6}"],
+    "toda_o6": ["toda", "{o6}"],
+}
+
 
 @pytest.fixture()
 def inputs(tmp_path):
     paths = {}
-    for name, k in (("mo", 2), ("boolean", 2)):
-        path = tmp_path / f"{name}{k}.lat"
+    for name, k in (("mo", 2), ("boolean", 2), ("o6", 0)):
+        path = tmp_path / f"{name}{k or ''}.lat"
         path.write_text(format_lattice(catalog(name, k)))
-        paths[f"{name}{k}"] = str(path)
+        paths[f"{name}{k or ''}"] = str(path)
     swap = tmp_path / "swap.iso"
     swap.write_text(SWAP)
     paths["swap"] = str(swap)
     return paths
 
 
+def run_json(argv, inputs) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(["--json"] + [arg.format(**inputs) for arg in argv])
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case, inputs, monkeypatch):
     monkeypatch.delenv("OMLOQ_SEED", raising=False)
-    argv = [arg.format(**inputs) for arg in CASES[case]]
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        main(["--json"] + argv)
     with open(os.path.join(GOLDEN, f"{case}.json"), encoding="utf-8") as fh:
-        assert buf.getvalue() == fh.read()
+        assert run_json(CASES[case], inputs) == fh.read()
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_rests_on_checks(case, inputs):
+    doc = json.loads(run_json(VERDICT_CASES[case], inputs))
+    statuses = [c["status"] for c in doc["checks"]]
+    assert doc["verdict"] in ("pass", "fail")
+    # so a fail verdict has a check that is not pass, and a pass verdict has none
+    assert (doc["verdict"] == "pass") == all(s == "pass" for s in statuses)
 
 
 @pytest.mark.parametrize("golden", sorted(f"{case}.json" for case in CASES))

@@ -96,6 +96,17 @@ def test_witness_report_perturbed():
     assert not other.monotone_violation
 
 
+def test_witness_reference_values_only_on_default_inputs():
+    assert len(witness_report().facts()) == 4
+    rep = witness_report(x=span((1, 2, 1)))
+    assert rep.pi_v_x == span((1, 2, 0))
+    assert [name for name, _ in rep.facts()] == [
+        "u is contained in v",
+        "the first is not contained in the second",
+    ]
+    assert rep.ok
+
+
 def test_parse_vector():
     assert parse_vector("1,0,0") == (1, 0, 0)
     assert parse_vector(" 1 , -2 , 3 ") == (1, -2, 3)

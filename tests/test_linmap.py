@@ -17,6 +17,7 @@ from omloq.linmap import (
     foulis_perp,
     identity_map,
     join_irreducibles,
+    join_preservation_witness,
     order_adjoint,
     orth_adjoint,
     pointwise_join,
@@ -314,16 +315,31 @@ def broken_boolean2():
     return b2, dataclasses.replace(b2, join=tuple(map(tuple, join)))
 
 
-@pytest.mark.parametrize("suite, check", [
-    (verify_foulis, "lemma.item3_join_of_closures"),
-    (verify_left_module_on_M, "A2.joins_of_maps_act_pointwise"),
-    (lambda l, maps: sasaki_projection_lattice(l, maps)[2], "tests.pointwise_joins_linear"),
+@pytest.mark.parametrize("suite, check, keeps_joins", [
+    (verify_foulis, "lemma.item3_join_of_closures", False),
+    (verify_left_module_on_M, "A2.joins_of_maps_act_pointwise", True),
+    (lambda l, maps: sasaki_projection_lattice(l, maps)[2], "tests.pointwise_joins_linear", False),
 ], ids=["foulis", "module", "extraction"])
-def test_suites_report_a_non_linear_pointwise_join(suite, check):
+def test_suites_report_a_non_linear_pointwise_join(suite, check, keeps_joins):
     b2, broken = broken_boolean2()
-    rep = suite(broken, enumerate_lin(b2))
+    maps = enumerate_lin(b2)
+    if keeps_joins:
+        # A2 is reached only when A1 passes, that is when every table keeps broken's joins
+        maps = [f for f in maps if join_preservation_witness(EndoMap(broken, f.base.tbl)) is None]
+        assert len(maps) == 10
+    rep = suite(broken, maps)
     assert rep[check].status == "fail"
     assert "is not in Lin: NotLinear(" in rep[check].witness
+
+
+def test_verify_left_module_reads_joins_of_the_suite_lattice():
+    # the tables are join-preserving on boolean(2) but 6 of the 16 break p v q = p
+    b2, broken = broken_boolean2()
+    rep = verify_left_module_on_M(broken, enumerate_lin(b2))
+    assert rep["A1.action_preserves_joins_of_elements"].status == "fail"
+    assert rep["A1.action_preserves_joins_of_elements"].witness == "LinMap[0 0 p p] at p,q"
+    assert rep["A2.joins_of_maps_act_pointwise"].status == "inconclusive"
+    assert rep["A2.joins_of_maps_act_pointwise"].detail == "A1 failed"
 
 
 def lin_variants(l):
