@@ -217,13 +217,15 @@ def cmd_witness(args) -> _Outcome:
 # wiring
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``, else a usage error."""
+def _at_least(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer in ``minimum..maximum`` (no cap when None), else a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
@@ -235,7 +237,8 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="sampling seed")
     parser.add_argument("--lin-cap", type=_at_least(1))
     parser.add_argument("--monoid-cap", type=_at_least(1))
-    parser.add_argument("--exhaustive-threshold", type=_at_least(0))
+    # 2**threshold subsets are built when the carrier is that small
+    parser.add_argument("--exhaustive-threshold", type=_at_least(0, EXHAUSTIVE_THRESHOLD))
     parser.add_argument("--samples", type=_at_least(0), help="random subsets per suite")
     parser.add_argument("-v", "--verbose", action="store_true")
 

@@ -347,25 +347,22 @@ def verify_ida(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validatio
     pairs = policy.pairs(alg)
     elems = policy.elements(alg)
 
-    w = next((f"x={x!r} y={y!r}" for x, y in pairs
-              if alg.tilde(alg.mul(x, alg.tilde_tilde(y))) != alg.tilde(alg.mul(x, y))), None)
-    r.add("IDA2.tilde_absorbs_right_closure", w is None, w or "")
+    r.first("IDA2.tilde_absorbs_right_closure", (
+        f"x={x!r} y={y!r}" for x, y in pairs
+        if alg.tilde(alg.mul(x, alg.tilde_tilde(y))) != alg.tilde(alg.mul(x, y))))
 
-    w = next((repr(fam[:4]) for fam in _join_families(elems, pairs)
-              if alg.tilde(alg.union_all(alg.tilde_tilde(x) for x in fam))
-              != alg.tilde(alg.union_all(fam))), None)
-    r.add("IDA3.tilde_absorbs_closure_of_joins", w is None, w or "")
+    r.first("IDA3.tilde_absorbs_closure_of_joins", (
+        repr(fam[:4]) for fam in _join_families(elems, pairs)
+        if alg.tilde(alg.union_all(alg.tilde_tilde(x) for x in fam))
+        != alg.tilde(alg.union_all(fam))))
 
-    w = next((x for x in elems if alg.star(alg.tilde(x)) != alg.tilde(x)), None)
-    r.add("IDA4.tilde_is_self_adjoint", w is None, "" if w is None else repr(w))
+    r.first("IDA4.tilde_is_self_adjoint",
+            (repr(x) for x in elems if alg.star(alg.tilde(x)) != alg.tilde(x)))
 
-    w = next(
-        (f"x={x!r} y={y!r}" for x, y in pairs
-         if alg.tilde_tilde(alg.mul(alg.tilde_tilde(x), y))
-         != alg.tilde(alg.union(alg.tilde(x), alg.tilde(alg.union(alg.tilde(x), y))))),
-        None,
-    )
-    r.add("IDA5.sasaki_shape", w is None, w or "")
+    r.first("IDA5.sasaki_shape", (
+        f"x={x!r} y={y!r}" for x, y in pairs
+        if alg.tilde_tilde(alg.mul(alg.tilde_tilde(x), y))
+        != alg.tilde(alg.union(alg.tilde(x), alg.tilde(alg.union(alg.tilde(x), y))))))
 
     return r
 
@@ -380,58 +377,48 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
     r.add("TODA1.test_lattice_is_complete_oml", tl_report.ok, tl_report.summary())
 
     carrier = set(alg.carrier)
-    w = next((f"generator pi({alg.l.names[m]}) outside carrier" for m in alg.l.elements()
-              if alg.monoid.gen_id[m] not in carrier), None)
-    if w is None and alg.monoid.unit_id not in carrier:
-        w = "unit outside carrier"
-    if w is None:
-        for a in alg.carrier:
-            if mono_star(alg.monoid, a) not in carrier:
-                w = f"star of {a} escapes carrier"
-                break
-            row = alg.monoid.cayley[a]
-            b = next((b for b in alg.carrier if row[b] not in carrier), None)
-            if b is not None:
-                w = f"product {a}*{b} escapes carrier"
-                break
-    if w is None:
-        for e in policy.elements(alg):
-            stray = next((i for i in e.ids if i not in carrier), None)
-            if stray is not None:
-                w = f"element {e!r} not regenerated: id {stray} outside carrier"
-                break
-            if alg.union_all(alg.singleton(i) for i in e.ids) != e:
-                w = f"element {e!r} not a join of its singletons"
-                break
-    r.add("TODA2.minimality", w is None, w or "",
-          detail="closure of singletons under union/product/star regenerates the sample")
+    mono = alg.monoid
 
-    w = None
-    singles = [alg.singleton(i) for i in alg.carrier]
-    if len({s.ids for s in singles}) != len(singles):
-        w = "duplicate singleton"
-    if w is None:
-        ex = policy.is_exhaustive(alg)
-        subsets: list[tuple[int, ...]]
-        if ex:
-            subsets = [e.ids for e in policy.elements(alg)]
-        else:
-            rng = random.Random(policy.seed + 2)
-            subsets = [e.ids for e in policy.elements(alg)][: 2 * policy.n_random]
-            rng.shuffle(subsets)
+    def escapes():
+        yield from (f"generator pi({alg.l.names[m]}) outside carrier" for m in alg.l.elements()
+                    if mono.gen_id[m] not in carrier)
+        if mono.unit_id not in carrier:
+            yield "unit outside carrier"
+        for a in alg.carrier:
+            if mono_star(mono, a) not in carrier:
+                yield f"star of {a} escapes carrier"
+            row = mono.cayley[a]
+            yield from (f"product {a}*{b} escapes carrier" for b in alg.carrier
+                        if row[b] not in carrier)
+        for e in policy.elements(alg):
+            yield from (f"element {e!r} not regenerated: id {i} outside carrier" for i in e.ids
+                        if i not in carrier)
+            if alg.union_all(alg.singleton(i) for i in e.ids) != e:
+                yield f"element {e!r} not a join of its singletons"
+
+    r.first("TODA2.minimality", escapes(),
+            detail="closure of singletons under union/product/star regenerates the sample")
+
+    def shared_joins():
+        singles = [alg.singleton(i) for i in alg.carrier]
+        if len({s.ids for s in singles}) != len(singles):
+            yield "duplicate singleton"
+        subsets = [e.ids for e in policy.elements(alg)]
+        if not policy.is_exhaustive(alg):
+            subsets = subsets[: 2 * policy.n_random]
+            random.Random(policy.seed + 2).shuffle(subsets)
         seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         for ids in subsets:
             joined = alg.union_all(alg.singleton(i) for i in ids).ids
-            if joined in seen and seen[joined] != ids:
-                w = f"distinct singleton sets {seen[joined]} and {ids} share a join"
-                break
-            seen[joined] = ids
-    r.add("TODA3.joins_of_tests_injective", w is None, w or "")
+            if seen.setdefault(joined, ids) != ids:
+                yield f"distinct singleton sets {seen[joined]} and {ids} share a join"
 
-    w = next((f"{alg.singleton(a)!r} and {alg.singleton(b)!r} act identically"
-              for i, a in enumerate(alg.carrier) for b in alg.carrier[i + 1 :]
-              if alg.equiv(alg.singleton(a), alg.singleton(b))), None)
-    r.add("TODA4.actions_separate_tests", w is None, w or "")
+    r.first("TODA3.joins_of_tests_injective", shared_joins())
+
+    r.first("TODA4.actions_separate_tests", (
+        f"{alg.singleton(a)!r} and {alg.singleton(b)!r} act identically"
+        for i, a in enumerate(alg.carrier) for b in alg.carrier[i + 1 :]
+        if alg.equiv(alg.singleton(a), alg.singleton(b))))
 
     return r
 
@@ -453,48 +440,41 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
         return r
 
     act = alg.action_table
-    w = None
-    for k in elems:
-        a = act(k)
-        bad = next(((x, y) for x in tests for y in tests
-                    if a[tk.join[x][y]] != tk.join[a[x]][a[y]]), None)
-        if bad is not None:
-            w = f"k={k!r} v={l.names[bad[0]]},{l.names[bad[1]]}"
-            break
-        if a[tk.bot] != tk.bot:
-            w = f"k={k!r} at empty join"
-            break
-    r.add("A1.action_preserves_test_joins", w is None, w or "")
 
-    w = next(
-        (f"family size {len(fam)} at {l.names[v]}" for fam in families
-         for total in (act(alg.union_all(fam)),) for v in tests
-         if total[v] != tk.join_all(act(t)[v] for t in fam)),
-        None,
-    )
-    r.add("A2.joins_act_pointwise", w is None, w or "")
+    def broken_joins():
+        for k in elems:
+            a = act(k)
+            yield from (f"k={k!r} v={l.names[x]},{l.names[y]}" for x in tests for y in tests
+                        if a[tk.join[x][y]] != tk.join[a[x]][a[y]])
+            if a[tk.bot] != tk.bot:
+                yield f"k={k!r} at empty join"
 
-    w = next((f"u={u!r} s={s!r} v={l.names[v]}" for u, s in pairs
-              for us in (act(alg.mul(u, s)),) for v in tests
-              if us[v] != act(u)[act(s)[v]]), None)
-    r.add("A3.product_acts_by_composition", w is None, w or "")
+    r.first("A1.action_preserves_test_joins", broken_joins())
 
-    w = next((v for v in tests if act(alg.unit)[v] != v), None)
-    r.add("A4.unit_acts_as_identity", w is None, "" if w is None else l.names[w])
+    r.first("A2.joins_act_pointwise", (
+        f"family size {len(fam)} at {l.names[v]}" for fam in families
+        for total in (act(alg.union_all(fam)),) for v in tests
+        if total[v] != tk.join_all(act(t)[v] for t in fam)))
 
-    w = next((x for x in elems if alg.tilde(alg.tilde_tilde(x)) != alg.tilde(x)), None)
-    r.add("triple_tilde_collapses", w is None, "" if w is None else repr(w))
+    r.first("A3.product_acts_by_composition", (
+        f"u={u!r} s={s!r} v={l.names[v]}" for u, s in pairs
+        for us in (act(alg.mul(u, s)),) for v in tests if us[v] != act(u)[act(s)[v]]))
+
+    r.first("A4.unit_acts_as_identity", (l.names[v] for v in tests if act(alg.unit)[v] != v))
+
+    r.first("triple_tilde_collapses",
+            (repr(x) for x in elems if alg.tilde(alg.tilde_tilde(x)) != alg.tilde(x)))
 
     # tk.bot is the test index of tilde_tilde(zero), the empty join
-    w = next((f"family size {len(fam)}" for fam in families
-              if alg.tilde_tilde(alg.union_all(fam))
-              != alg.delta(tk.join_all(alg._test_index(alg.tilde_tilde(t)) for t in fam))), None)
-    r.add("double_tilde_preserves_joins", w is None, w or "")
+    r.first("double_tilde_preserves_joins", (
+        f"family size {len(fam)}" for fam in families
+        if alg.tilde_tilde(alg.union_all(fam))
+        != alg.delta(tk.join_all(alg._test_index(alg.tilde_tilde(t)) for t in fam))))
 
-    w = next((f"u={u!r} v={v!r}" for u, v in pairs
-              if alg.tilde_tilde(alg.mul(u, v))
-              != alg.delta(act(u)[alg._test_index(alg.tilde_tilde(v))])), None)
-    r.add("double_tilde_intertwines_product_with_action", w is None, w or "")
+    r.first("double_tilde_intertwines_product_with_action", (
+        f"u={u!r} v={v!r}" for u, v in pairs
+        if alg.tilde_tilde(alg.mul(u, v))
+        != alg.delta(act(u)[alg._test_index(alg.tilde_tilde(v))])))
 
     by_action: dict[tuple[int, ...], list[DynElem]] = {}
     for e in elems:
@@ -502,17 +482,12 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
     eq_pairs = [(g[i], g[i + 1]) for g in by_action.values() for i in range(len(g) - 1)][:40]
     if not eq_pairs:
         eq_pairs = [(elems[0], elems[0])]
-    w = next(
+    r.first(
+        "equiv_is_congruence",
         (f"{kind} congruence at u={u!r} v={v!r} s={s!r} t={t!r}"
          for u, v in eq_pairs for s, t in eq_pairs[:10]
          for kind, op in (("product", alg.mul), ("join", alg.union))
          if not alg.equiv(op(u, s), op(v, t))),
-        None,
-    )
-    r.add(
-        "equiv_is_congruence",
-        w is None,
-        w or "",
         detail=f"{len(eq_pairs)} equivalent pairs exercised",
     )
 

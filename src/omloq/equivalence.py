@@ -123,14 +123,12 @@ def verify_dyn_morphism(
 
     pairs = policy.action_pairs(src_alg)
     for name, op in (("union_preserved", operator.or_), ("product_preserved", operator.mul)):
-        w = next((f"{x!r},{y!r}" for x, y in pairs
-                  if phi.apply(op(x, y)) != op(phi.apply(x), phi.apply(y))), None)
-        r.add(name, w is None, w or "")
+        r.first(name, (f"{x!r},{y!r}" for x, y in pairs
+                       if phi.apply(op(x, y)) != op(phi.apply(x), phi.apply(y))))
 
     elems = policy.elements(src_alg)
     for name, op in (("star_preserved", DynElem.star), ("tilde_preserved", DynElem.tilde)):
-        w = next((repr(x) for x in elems if phi.apply(op(x)) != op(phi.apply(x))), None)
-        r.add(name, w is None, w or "")
+        r.first(name, (repr(x) for x in elems if phi.apply(op(x)) != op(phi.apply(x))))
 
     return r
 
@@ -238,20 +236,14 @@ def _nu_report(h: TodaHandle, target: TodaHandle, nu: tuple[int, ...]) -> Valida
     r.add("bijective", sorted(nu) == list(target.monoid.ids()))
     r.add("unit_preserved", nu[h.monoid.unit_id] == target.monoid.unit_id)
     rows, target_rows = h.monoid.cayley, target.monoid.cayley
-    w = next(((a, b) for a in h.monoid.ids() for b in h.monoid.ids()
-              if nu[rows[a][b]] != target_rows[nu[a]][nu[b]]), None)
-    r.add("product_preserved", w is None, "" if w is None else f"{w[0]},{w[1]}")
-    w = next(
-        (a for a in h.monoid.ids() if nu[mono_star(h.monoid, a)] != mono_star(target.monoid, nu[a])),
-        None,
-    )
-    r.add("star_preserved", w is None, "" if w is None else str(w))
-    w = next(
-        (m for m in h.oml.elements() if nu[h.monoid.gen_id[m]] != target.monoid.gen_id[m]),
-        None,
-    )
-    r.add("tests_map_to_projections", w is None, "" if w is None else h.oml.names[w],
-          detail="nu of a test is the projection at the matching test")
+    r.first("product_preserved", (f"{a},{b}" for a in h.monoid.ids() for b in h.monoid.ids()
+                                  if nu[rows[a][b]] != target_rows[nu[a]][nu[b]]))
+    r.first("star_preserved", (str(a) for a in h.monoid.ids()
+                               if nu[mono_star(h.monoid, a)] != mono_star(target.monoid, nu[a])))
+    r.first("tests_map_to_projections",
+            (h.oml.names[m] for m in h.oml.elements()
+             if nu[h.monoid.gen_id[m]] != target.monoid.gen_id[m]),
+            detail="nu of a test is the projection at the matching test")
     return r
 
 
@@ -270,10 +262,10 @@ def lambda_component(
     r.extend(_nu_report(h, target, nu), prefix="nu.")
     lam = DynMorphism(h, target, nu, name="lambda")
 
-    w = next((repr(x) for x in policy.elements(h.alg)
-              if target.alg.elem(nu[s.ids[0]] for s in h.alg.normal_form(x)) != lam.apply(x)
-              or target.alg.elem(nu[s.ids[0]] for s in h.alg.h_map(x)) != lam.apply(x)), None)
-    r.add("normal_form_and_atom_paths_agree", w is None, w or "")
+    r.first("normal_form_and_atom_paths_agree", (
+        repr(x) for x in policy.elements(h.alg)
+        if target.alg.elem(nu[s.ids[0]] for s in h.alg.normal_form(x)) != lam.apply(x)
+        or target.alg.elem(nu[s.ids[0]] for s in h.alg.h_map(x)) != lam.apply(x)))
 
     r.extend(verify_dyn_morphism(lam, policy), prefix="morphism.")
     r.add("unit_image", lam.apply(h.alg.unit) == target.alg.unit,
@@ -319,16 +311,12 @@ def check_naturality_lambda(
         for j in phi.src.alg.carrier[:4]:
             probes.append(phi.src.alg.elem((i, j)))
     probes.extend(policy.elements(phi.src.alg))
-    seen = set()
-    w = None
-    for x in probes:
-        if x.ids in seen:
-            continue
-        seen.add(x.ids)
-        if gpsi.apply(lam_src.apply(x)) != lam_dst.apply(phi.apply(x)):
-            w = repr(x)
-            break
-    r.add("square_commutes", w is None, w or "", detail=f"{len(seen)} elements")
+    # each distinct probe once; seen ends holding those examined, the failing one included
+    seen: set[tuple[int, ...]] = set()
+    fresh = (x for x in probes if x.ids not in seen and not seen.add(x.ids))
+    check = r.first("square_commutes", (
+        repr(x) for x in fresh if gpsi.apply(lam_src.apply(x)) != lam_dst.apply(phi.apply(x))))
+    check.detail = f"{len(seen)} elements"
     return r
 
 
@@ -348,26 +336,23 @@ def verify_h_map(h: TodaHandle, policy: SamplePolicy | None = None) -> Validatio
     r = ValidationReport(title=f"h map on P(T({h.oml.name}))")
     elems = policy.elements(alg)
 
-    w = next((x for x in elems if alg.from_atoms(alg.h_map(x)) != x), None)
-    r.add("join_after_h_is_identity", w is None, "" if w is None else repr(w))
+    r.first("join_after_h_is_identity",
+            (repr(x) for x in elems if alg.from_atoms(alg.h_map(x)) != x))
 
     def atom_ids(x: DynElem) -> list[tuple[int, ...]]:
         return [a.ids for a in alg.h_map(x)]
 
-    w = next((repr(x) for x in elems if atom_ids(alg.from_atoms(alg.h_map(x))) != atom_ids(x)),
-             None)
-    r.add("h_after_join_is_identity", w is None, w or "")
+    r.first("h_after_join_is_identity",
+            (repr(x) for x in elems if atom_ids(alg.from_atoms(alg.h_map(x))) != atom_ids(x)))
 
-    w = next((f"{x!r},{y!r}" for x, y in policy.action_pairs(alg)
-              if atom_ids(alg.mul(x, y))
-              != atom_ids(alg.mul(alg.from_atoms(alg.h_map(x)), alg.from_atoms(alg.h_map(y))))),
-             None)
-    r.add("product_intertwined", w is None, w or "")
+    r.first("product_intertwined", (
+        f"{x!r},{y!r}" for x, y in policy.action_pairs(alg)
+        if atom_ids(alg.mul(x, y))
+        != atom_ids(alg.mul(alg.from_atoms(alg.h_map(x)), alg.from_atoms(alg.h_map(y))))))
 
     for name, op in (("star_intertwined", alg.star), ("tilde_intertwined", alg.tilde)):
-        w = next((repr(x) for x in elems
-                  if atom_ids(op(x)) != atom_ids(op(alg.from_atoms(alg.h_map(x))))), None)
-        r.add(name, w is None, w or "")
+        r.first(name, (repr(x) for x in elems
+                       if atom_ids(op(x)) != atom_ids(op(alg.from_atoms(alg.h_map(x))))))
 
     r.add("unit_atoms", [a.ids for a in alg.h_map(alg.unit)] == [alg.unit.ids])
     return r

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import getitem
 
 from .errors import SizeExceeded
@@ -26,7 +26,7 @@ from .oml import (
     sasaki_projection,
     validate_oml,
 )
-from .report import ValidationReport
+from .report import PASS, ValidationReport
 
 DEFAULT_LIN_CAP = 2_000_000
 
@@ -294,10 +294,10 @@ class _Carrier:
         return self.intern(tuple(map(getitem, rows, self.tab[j])))
 
     def _row(self, memo: dict[int, array], op, i: int) -> array:
-        row = memo.get(i)
-        if row is None:
-            row = memo[i] = array("i", [op(i, j) for j in range(self.size)])
-        return row
+        cached = memo.get(i)
+        if cached is None:
+            cached = memo[i] = array("i", [op(i, j) for j in range(self.size)])
+        return cached
 
     def comp_row(self, i: int) -> array:
         """The ids of tab[i] after each carrier table, in id order."""
@@ -329,12 +329,12 @@ class _Carrier:
         return "Lin" + repr(EndoMap(self.l, self.tab[i]))[4:]
 
 
-def _first(witnesses) -> str | None:
-    """The first witness, or the pointwise join that left Lin(l) during the search."""
+def _in_lin(witnesses):
+    """The witnesses, then the pointwise join that left Lin(l) during the search, if one did."""
     try:
-        return next(witnesses, None)
+        yield from witnesses
     except _NotInLin as e:
-        return str(e)
+        yield str(e)
 
 
 def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
@@ -367,8 +367,8 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     )
 
     # a perp is a Sasaki table taken as its own adjoint, so only idempotence can fail
-    w = next((repr(s) for s, p in zip(maps, perps) if c.comp(p, p) != p), None)
-    r.add("FQ1_O1.self_adjoint_idempotent", w is None, w or "")
+    r.first("FQ1_O1.self_adjoint_idempotent",
+            (repr(s) for s, p in zip(maps, perps) if c.comp(p, p) != p))
 
     r.add("O2.unit_perp_is_zero", c.perp(c.e) == zero)
 
@@ -379,39 +379,26 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         # x is annihilated by s exactly when it lies in the right ideal s-perp . maps;
         # one ideal per distinct perp table, so a wrong perp still shows
         ideals = {p: set(c.comp_row(p)) for p in perps}
-        w = next(
-            (f"s={s!r} x={x!r}" for s, a, p in zip(maps, c.adj, perps) for x, i in zip(maps, cols)
-             if (c.comp(a, i) == zero) != (i in ideals[p])),
-            None,
-        )
-        r.add(name, w is None, w or "")
+        r.first(name, (f"s={s!r} x={x!r}" for s, a, p in zip(maps, c.adj, perps)
+                       for x, i in zip(maps, cols) if (c.comp(a, i) == zero) != (i in ideals[p])))
 
-    w = next(
-        (f"r={rr!r} t={t!r}" for rr, a, rp in zip(maps, c.adj, perps) for t, i in zip(maps, cols)
-         if (c.comp(a, i) == zero) != (c.comp(rp, i) == i)),
-        None,
-    )
-    r.add("star.annihilation_iff_below_perp", w is None, w or "",
-          detail="t <= r-perp unfolds to the same fixed-point equation")
+    r.first("star.annihilation_iff_below_perp",
+            (f"r={rr!r} t={t!r}" for rr, a, rp in zip(maps, c.adj, perps)
+             for t, i in zip(maps, cols) if (c.comp(a, i) == zero) != (c.comp(rp, i) == i)),
+            detail="t <= r-perp unfolds to the same fixed-point equation")
 
-    w = next(
-        (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
-         for rr, j, rp in zip(maps, cols, perps)
-         if c.comp(j, i) == i and c.comp(tp, rp) != rp),
-        None,
-    )
-    r.add("star2.perp_antitone", w is None, w or "")
+    r.first("star2.perp_antitone",
+            (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
+             for rr, j, rp in zip(maps, cols, perps)
+             if c.comp(j, i) == i and c.comp(tp, rp) != rp))
 
-    w = next((c.show(k) for k, kk in zip(perps, dperps) if c.perp(kk) != k), None)
-    r.add("star2.double_perp_fixes_tests", w is None, w or "")
+    r.first("star2.double_perp_fixes_tests",
+            (c.show(k) for k, kk in zip(perps, dperps) if c.perp(kk) != k))
 
-    w = next(
-        (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
-         for rr, j, rp in zip(maps, cols, perps)
-         if (c.comp(rp, i) == i) != (c.comp(tp, j) == j)),
-        None,
-    )
-    r.add("star3.perp_exchange", w is None, w or "")
+    r.first("star3.perp_exchange",
+            (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
+             for rr, j, rp in zip(maps, cols, perps)
+             if (c.comp(rp, i) == i) != (c.comp(tp, j) == j)))
 
     r.add(
         "lemma.item1_bounds",
@@ -421,29 +408,21 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         and c.perp(c.perp(zero)) == zero,
     )
 
-    w = next(
-        (f"x={x!r} y={y!r}" for x, i in zip(maps, cols) for y, j, ypp in zip(maps, cols, dperps)
-         if c.perp(c.comp(i, ypp)) != c.perp(c.comp(i, j))),
-        None,
-    )
-    r.add("lemma.item2_perp_absorbs_closure", w is None, w or "")
+    r.first("lemma.item2_perp_absorbs_closure",
+            (f"x={x!r} y={y!r}" for x, i in zip(maps, cols) for y, j, ypp in zip(maps, cols, dperps)
+             if c.perp(c.comp(i, ypp)) != c.perp(c.comp(i, j))))
 
-    w = _first(f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps)
-               if c.perp(c.lin(xpp)) != xp)
-    if w is None:
-        w = _first(
-            f"x={x!r} y={y!r}" for x, i, xpp in zip(maps, cols, dperps)
-            for y, j, ypp in zip(maps, cols, dperps)
-            if c.perp(c.join(xpp, ypp)) != c.perp(c.join(i, j))
-        )
-    r.add("lemma.item3_join_of_closures", w is None, w or "",
-          detail="families: singletons and pairs")
+    r.first("lemma.item3_join_of_closures", _in_lin(chain(
+        (f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps) if c.perp(c.lin(xpp)) != xp),
+        (f"x={x!r} y={y!r}" for x, i, xpp in zip(maps, cols, dperps)
+         for y, j, ypp in zip(maps, cols, dperps)
+         if c.perp(c.join(xpp, ypp)) != c.perp(c.join(i, j))),
+    )), detail="families: singletons and pairs")
 
-    w = _first(
+    r.first("lemma.item4_sasaki_identity", _in_lin(
         f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps) for y, j in zip(maps, cols)
         if c.perp(c.perp(c.comp(xpp, j))) != c.perp(c.join(xp, c.perp(c.join(xp, j))))
-    )
-    r.add("lemma.item4_sasaki_identity", w is None, w or "")
+    ))
 
     return r
 
@@ -455,38 +434,31 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
     cols = list(zip(maps, c.col))
 
     # each table is read against the suite's lattice, as A2 and A3 read it
-    bad = next(((f, where) for f in maps
-                if (where := join_preservation_witness(EndoMap(l, f.base.tbl))) is not None), None)
-    w = None
-    if bad is not None:
-        w = f"{bad[0]!r} at {','.join(l.names[x] for x in bad[1]) or 'empty join'}"
-    r.add("A1.action_preserves_joins_of_elements", w is None, w or "")
+    a1 = r.first("A1.action_preserves_joins_of_elements",
+                 (f"{f!r} at {','.join(l.names[x] for x in where) or 'empty join'}" for f in maps
+                  if (where := join_preservation_witness(EndoMap(l, f.base.tbl))) is not None))
 
     # the pointwise join of maps that break a join need not be in the carrier
     name = "A2.joins_of_maps_act_pointwise"
-    if bad is not None:
+    if a1.status != PASS:
         r.add_inconclusive(name, detail="A1 failed")
     else:
-        w = _first(
-            f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
-            for x, v in enumerate(c.tab[c.join(i, j)])
-            if v != l.join[f.base.tbl[x]][g.base.tbl[x]]
-        )
-        if w is None:
-            w = _first(f"empty join at {l.names[x]}"
-                       for x, v in enumerate(c.tab[c.lin(c.zero)]) if v != l.bot)
-        r.add(name, w is None, w or "")
+        # c.lin(z) sits below the outermost loop, so the zero map is certified inside
+        # _in_lin and a zero map outside Lin(l) is a witness, not an escaping _NotInLin
+        r.first(name, _in_lin(chain(
+            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
+             for x, v in enumerate(c.tab[c.join(i, j)])
+             if v != l.join[f.base.tbl[x]][g.base.tbl[x]]),
+            (f"empty join at {l.names[x]}" for z in (c.zero,)
+             for x, v in enumerate(c.tab[c.lin(z)]) if v != l.bot),
+        )))
 
-    w = next(
-        (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
-         for x, v in enumerate(c.tab[c.comp(i, j)]) if v != f.base.tbl[g.base.tbl[x]]),
-        None,
-    )
-    r.add("A3.composition_associates_with_action", w is None, w or "")
+    r.first("A3.composition_associates_with_action",
+            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
+             for x, v in enumerate(c.tab[c.comp(i, j)]) if v != f.base.tbl[g.base.tbl[x]]))
 
     ident = identity_map(l)
-    w = next((x for x in l.elements() if ident.tbl[x] != x), None)
-    r.add("A4.unit_acts_as_identity", w is None, "" if w is None else l.names[w])
+    r.first("A4.unit_acts_as_identity", (l.names[x] for x in l.elements() if ident.tbl[x] != x))
     return r
 
 

@@ -329,87 +329,29 @@ def validate_oml(l: Oml) -> ValidationReport:
     n = l.n
     names = l.names
 
-    w = next((i for i in range(n) if not l.leq(i, i)), None)
-    r.add("order.reflexive", w is None, "" if w is None else names[w])
-
-    w = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and l.leq(i, j) and l.leq(j, i)
-        ),
-        None,
-    )
-    r.add("order.antisymmetric", w is None, "" if w is None else f"{names[w[0]]},{names[w[1]]}")
-
-    w = next(
-        (
-            (i, j, next(_bits(l.up[j] & ~l.up[i])))
-            for i in range(n)
-            for j in _bits(l.up[i])
-            if l.up[j] & ~l.up[i]
-        ),
-        None,
-    )
-    r.add(
-        "order.transitive",
-        w is None,
-        "" if w is None else f"{names[w[0]]}<={names[w[1]]}<={names[w[2]]}",
-    )
-
-    w = next(
-        (
-            f"{kind}({names[i]},{names[j]})"
-            for i in range(n)
-            for j in range(n)
-            for kind, g, common, cone in (
-                ("meet", l.meet[i][j], l.down[i] & l.down[j], l.down),
-                ("join", l.join[i][j], l.up[i] & l.up[j], l.up),
-            )
-            if not (common >> g & 1 and common & ~cone[g] == 0)
-        ),
-        None,
-    )
-    r.add("lattice.glb_lub", w is None, w or "")
-
-    w = next((i for i in range(n) if not (l.leq(l.bot, i) and l.leq(i, l.top))), None)
-    r.add("bounds", w is None, "" if w is None else names[w])
-
-    w = next(
-        (
-            i
-            for i in range(n)
-            if l.meet[i][l.perp[i]] != l.bot or l.join[i][l.perp[i]] != l.top
-        ),
-        None,
-    )
-    r.add("perp.complement", w is None, "" if w is None else names[w])
-
-    w = next((i for i in range(n) if l.perp[l.perp[i]] != i), None)
-    r.add("perp.involution", w is None, "" if w is None else names[w])
-
-    w = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if l.leq(i, j) and not l.leq(l.perp[j], l.perp[i])
-        ),
-        None,
-    )
-    r.add("perp.antitone", w is None, "" if w is None else f"{names[w[0]]}<={names[w[1]]}")
-
-    w = next(
-        (
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if l.leq(i, j) and l.join[i][l.meet[l.perp[i]][j]] != j
-        ),
-        None,
-    )
-    r.add("orthomodular", w is None, "" if w is None else f"({names[w[0]]},{names[w[1]]})")
+    r.first("order.reflexive", (names[i] for i in range(n) if not l.leq(i, i)))
+    r.first("order.antisymmetric", (f"{names[i]},{names[j]}" for i in range(n) for j in range(n)
+                                    if i != j and l.leq(i, j) and l.leq(j, i)))
+    r.first("order.transitive", (f"{names[i]}<={names[j]}<={names[next(_bits(l.up[j] & ~l.up[i]))]}"
+                                 for i in range(n) for j in _bits(l.up[i]) if l.up[j] & ~l.up[i]))
+    r.first("lattice.glb_lub", (
+        f"{kind}({names[i]},{names[j]})"
+        for i in range(n)
+        for j in range(n)
+        for kind, g, common, cone in (
+            ("meet", l.meet[i][j], l.down[i] & l.down[j], l.down),
+            ("join", l.join[i][j], l.up[i] & l.up[j], l.up),
+        )
+        if not (common >> g & 1 and common & ~cone[g] == 0)
+    ))
+    r.first("bounds", (names[i] for i in range(n) if not (l.leq(l.bot, i) and l.leq(i, l.top))))
+    r.first("perp.complement", (names[i] for i in range(n)
+                                if l.meet[i][l.perp[i]] != l.bot or l.join[i][l.perp[i]] != l.top))
+    r.first("perp.involution", (names[i] for i in range(n) if l.perp[l.perp[i]] != i))
+    r.first("perp.antitone", (f"{names[i]}<={names[j]}" for i in range(n) for j in range(n)
+                              if l.leq(i, j) and not l.leq(l.perp[j], l.perp[i])))
+    r.first("orthomodular", (f"({names[i]},{names[j]})" for i in range(n) for j in range(n)
+                             if l.leq(i, j) and l.join[i][l.meet[l.perp[i]][j]] != j))
 
     return r
 
@@ -523,38 +465,17 @@ def check_ortho_iso(g: OrthoIso) -> ValidationReport:
     if not ok:
         return r
 
-    w = next(
-        (
-            (m, x)
-            for m in src.elements()
-            for x in src.elements()
-            if src.leq(m, x) != dst.leq(tbl[m], tbl[x])
-        ),
-        None,
-    )
-    r.add(
-        "order.both_directions",
-        w is None,
-        "" if w is None else f"{src.names[w[0]]},{src.names[w[1]]}",
-    )
-
-    w = next((m for m in src.elements() if tbl[src.perp[m]] != dst.perp[tbl[m]]), None)
-    r.add("perp.preserved", w is None, "" if w is None else src.names[w])
-
-    w = next(
-        (
-            (m, x)
-            for m in src.elements()
-            for x in src.elements()
-            if tbl[src.meet[m][x]] != dst.meet[tbl[m]][tbl[x]]
-            or tbl[src.join[m][x]] != dst.join[tbl[m]][tbl[x]]
-        ),
-        None,
-    )
-    r.add(
+    names = src.names
+    r.first("order.both_directions", (f"{names[m]},{names[x]}" for m in src.elements()
+                                      for x in src.elements()
+                                      if src.leq(m, x) != dst.leq(tbl[m], tbl[x])))
+    r.first("perp.preserved",
+            (names[m] for m in src.elements() if tbl[src.perp[m]] != dst.perp[tbl[m]]))
+    r.first(
         "meet_join.preserved",
-        w is None,
-        "" if w is None else f"{src.names[w[0]]},{src.names[w[1]]}",
+        (f"{names[m]},{names[x]}" for m in src.elements() for x in src.elements()
+         if tbl[src.meet[m][x]] != dst.meet[tbl[m]][tbl[x]]
+         or tbl[src.join[m][x]] != dst.join[tbl[m]][tbl[x]]),
         detail="derived from order + bijectivity",
     )
     return r

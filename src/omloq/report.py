@@ -40,6 +40,14 @@ class ValidationReport:
         self.checks.append(c)
         return c
 
+    def first(self, name: str, witnesses, detail: str = "") -> Check:
+        """Pass when ``witnesses`` yields nothing; else fail with its first item as witness.
+
+        The iterable is read lazily and no further than that first item.
+        """
+        w = next(iter(witnesses), None)
+        return self.add(name, w is None, w or "", detail)
+
     def add_inconclusive(self, name: str, detail: str = "") -> Check:
         c = Check(name, INCONCLUSIVE, detail=detail)
         self.checks.append(c)

@@ -89,7 +89,7 @@ def test_json_lattice_field_types(bad_doc, schema, tmp_path):
 @pytest.mark.parametrize(
     "flag,value",
     [("--lin-cap", "0"), ("--monoid-cap", "0"), ("--samples", "-5"),
-     ("--exhaustive-threshold", "-1")],
+     ("--exhaustive-threshold", "-1"), ("--exhaustive-threshold", "13")],
 )
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 def test_out_of_range_flags_are_usage_errors(flag, value, before, lattice_file, capsys):
@@ -100,7 +100,9 @@ def test_out_of_range_flags_are_usage_errors(flag, value, before, lattice_file, 
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {flag}: must be at least" in captured.err
+    # only the exhaustive threshold has a cap: 13 would mean 2**13 subsets
+    bound = "at most 12" if int(value) > 0 else "at least"
+    assert f"argument {flag}: must be {bound}" in captured.err
 
 
 def test_sasaki_command(lattice_file, capsys):

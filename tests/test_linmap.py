@@ -342,6 +342,21 @@ def test_verify_left_module_reads_joins_of_the_suite_lattice():
     assert rep["A2.joins_of_maps_act_pointwise"].detail == "A1 failed"
 
 
+def test_zero_map_outside_lin_fails_a2_on_an_empty_carrier():
+    # 0 v 0 = 1 breaks the empty join, so the zero map is not linear and no pair precedes it
+    b2 = catalog("boolean", 2)
+    join = [list(row) for row in b2.join]
+    join[b2.bot][b2.bot] = b2.top
+    broken = dataclasses.replace(b2, join=tuple(map(tuple, join)))
+    rep = verify_left_module_on_M(broken, [])
+    assert rep["A1.action_preserves_joins_of_elements"].status == "pass"
+    assert rep["A2.joins_of_maps_act_pointwise"].status == "fail"
+    assert rep["A2.joins_of_maps_act_pointwise"].witness == (
+        "pointwise join LinMap[0 0 0 0] is not in Lin: "
+        "NotLinear(reason='not join-preserving', witness=(0, 1))"
+    )
+
+
 def lin_variants(l):
     """Nine carriers over l: the enumerated one, six cut or altered copies and three halves."""
     maps = enumerate_lin(l)
