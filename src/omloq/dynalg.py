@@ -380,10 +380,9 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
     mono = alg.monoid
 
     def escapes():
+        # the unit is pi(top), so a missing unit is a missing generator
         yield from (f"generator pi({alg.l.names[m]}) outside carrier" for m in alg.l.elements()
                     if mono.gen_id[m] not in carrier)
-        if mono.unit_id not in carrier:
-            yield "unit outside carrier"
         for a in alg.carrier:
             if mono_star(mono, a) not in carrier:
                 yield f"star of {a} escapes carrier"

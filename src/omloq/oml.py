@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LatticeParseError
+from .errors import LatticeParseError, SizeExceeded
 from .report import ValidationReport
 
 MAX_ELEMENTS = 64
+DEFAULT_AUTOMORPHISM_CAP = 1_000_000
 
 
 def _bits(mask: int):
@@ -481,28 +482,55 @@ def check_ortho_iso(g: OrthoIso) -> ValidationReport:
     return r
 
 
-def enumerate_automorphisms(l: Oml) -> list[OrthoIso]:
-    """Exhaustively find all ortho-automorphisms of a small lattice.
+def enumerate_automorphisms(l: Oml, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list[OrthoIso]:
+    """Find all ortho-automorphisms of a lattice by pruned, capped backtracking.
 
-    Candidates are constrained to permute elements within (|down|, |up|,
-    self-perp) signature classes, then filtered by the full check.
+    Each element maps within its (|down|, |up|, self-perp) signature class.
+    Source elements are assigned in class order, each trying the unused
+    targets of its class in ascending order, so the maps come out in the
+    lexicographic order of the class permutations.  An extension ``s -> d``
+    is pruned as soon as it breaks the order in either direction or perp
+    against the elements already assigned; every complete map is still
+    certified by the full ``check_ortho_iso``.  Raises SizeExceeded once
+    more than ``cap`` extensions have been tried.
     """
-    from itertools import permutations, product
-
+    if cap <= 0:
+        raise ValueError("cap must be positive")
     sig = {}
     for i in l.elements():
         key = (bin(l.down[i]).count("1"), bin(l.up[i]).count("1"), l.perp[i] == i)
         sig.setdefault(key, []).append(i)
     classes = sorted(sig.values())
+    order = [s for cls in classes for s in cls]
+    targets = {s: cls for cls in classes for s in cls}
+    leq, perp = l.leq, l.perp
+    tbl = [-1] * l.n
     out = []
-    for perm_choice in product(*[permutations(cls) for cls in classes]):
-        tbl = [0] * l.n
-        for cls, perm in zip(classes, perm_choice):
-            for src_i, dst_i in zip(cls, perm):
-                tbl[src_i] = dst_i
-        cand = OrthoIso(l, l, tuple(tbl))
-        if check_ortho_iso(cand).ok:
-            out.append(cand)
-    for i, iso in enumerate(out):
-        object.__setattr__(iso, "name", f"aut{i}")
+    tried = 0
+
+    def fits(assigned, s, d):
+        # tbl[s] == d already; -1 marks a perp image not assigned yet
+        return all(leq(s, t) == leq(d, tbl[t]) and leq(t, s) == leq(tbl[t], d)
+                   and tbl[perp[t]] in (-1, perp[tbl[t]]) for t in assigned)
+
+    def extend(pos):
+        nonlocal tried
+        if pos == len(order):
+            cand = OrthoIso(l, l, tuple(tbl), name=f"aut{len(out)}")
+            if check_ortho_iso(cand).ok:
+                out.append(cand)
+            return
+        s = order[pos]
+        for d in targets[s]:
+            if d in tbl:
+                continue
+            tried += 1
+            if tried > cap:
+                raise SizeExceeded(tried, cap, "automorphism search extensions")
+            tbl[s] = d
+            if fits(order[:pos + 1], s, d):
+                extend(pos + 1)
+            tbl[s] = -1
+
+    extend(0)
     return out

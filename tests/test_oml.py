@@ -1,7 +1,10 @@
+import dataclasses
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
-from omloq.errors import LatticeParseError
+from omloq.errors import LatticeParseError, SizeExceeded
 from omloq.oml import (
     OrthoIso,
     catalog,
@@ -231,6 +234,62 @@ def test_automorphism_groups():
     assert len(enumerate_automorphisms(catalog("mo", 3))) == 48
     assert len(enumerate_automorphisms(catalog("boolean", 2))) == 2
     assert len(enumerate_automorphisms(catalog("chain2"))) == 1
+
+
+def _permutation_search(l):
+    """The exhaustive search: every permutation within each signature class."""
+    sig = {}
+    for i in l.elements():
+        key = (bin(l.down[i]).count("1"), bin(l.up[i]).count("1"), l.perp[i] == i)
+        sig.setdefault(key, []).append(i)
+    classes = sorted(sig.values())
+    out = []
+    for perm_choice in product(*[permutations(cls) for cls in classes]):
+        tbl = [0] * l.n
+        for cls, perm in zip(classes, perm_choice):
+            for src_i, dst_i in zip(cls, perm):
+                tbl[src_i] = dst_i
+        if check_ortho_iso(OrthoIso(l, l, tuple(tbl))).ok:
+            out.append(tuple(tbl))
+    return out
+
+
+def _perp_swapped(l, i, j):
+    perp = list(l.perp)
+    perp[i], perp[j] = perp[j], perp[i]
+    return dataclasses.replace(l, perp=tuple(perp), name=f"{l.name} perp {i}<->{j}")
+
+
+DIFFERENTIAL_CORPUS = [catalog(name, k) for name, k in (
+    ("chain2", 0), ("boolean", 2), ("boolean", 3), ("mo", 2), ("mo", 3), ("o6", 0))]
+
+
+@pytest.mark.parametrize("l", DIFFERENTIAL_CORPUS, ids=lambda l: l.name)
+def test_backtracking_matches_permutation_search(l):
+    # the lattice itself, then non-OML controls with two perp entries swapped
+    variants = [l] + [_perp_swapped(l, i, j) for i, j in {(0, 1), (1, l.n - 2)} if i < j]
+    for v in variants:
+        autos = enumerate_automorphisms(v)
+        assert [g.map for g in autos] == _permutation_search(v), v.name
+        assert [g.name for g in autos] == [f"aut{i}" for i in range(len(autos))]
+        assert all(check_ortho_iso(g).ok for g in autos)
+
+
+def test_automorphism_search_cap():
+    with pytest.raises(SizeExceeded):
+        enumerate_automorphisms(catalog("mo", 4), cap=1000)
+    with pytest.raises(ValueError):
+        enumerate_automorphisms(catalog("mo", 2), cap=0)
+
+
+def test_automorphisms_of_mo5_and_boolean5():
+    mo5 = catalog("mo", 5)
+    autos = enumerate_automorphisms(mo5)
+    assert len(autos) == 2**5 * 120
+    # a -> b -> c -> d -> e -> a, and the same on the complements
+    rotation = (0,) + tuple(2 * ((i // 2 + 1) % 5) + 1 + i % 2 for i in range(10)) + (11,)
+    assert rotation in {g.map for g in autos}
+    assert len(enumerate_automorphisms(catalog("boolean", 5))) == 120
 
 
 def test_iso_compose_and_inverse():

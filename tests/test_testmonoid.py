@@ -46,6 +46,13 @@ def test_chain2_monoid_is_zero_and_identity():
     assert monoid.elems[monoid.unit_id].tbl == (0, 1)
 
 
+def test_unit_is_the_generator_of_top(corpus):
+    # pi(1) is the identity; verify_toda's minimality search relies on it
+    for l in corpus:
+        monoid = generate_T(l)
+        assert monoid.unit_id == monoid.gen_id[l.top], l.name
+
+
 def test_generate_rejects_non_orthomodular():
     with pytest.raises(ValueError, match="fails axioms"):
         generate_T(catalog("o6"))
