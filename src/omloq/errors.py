@@ -19,8 +19,8 @@ class LatticeParseError(OmloqError):
 class SizeExceeded(OmloqError):
     """An enumeration or closure would exceed its configured cap."""
 
-    def __init__(self, estimate: int, cap: int, what: str = "candidates"):
-        self.estimate = estimate
+    def __init__(self, count: int, cap: int, what: str = "estimated candidates"):
+        self.count = count
         self.cap = cap
         self.what = what
-        super().__init__(f"{what}: estimated {estimate} exceeds cap {cap}")
+        super().__init__(f"{what}: {count} exceeds cap {cap}")

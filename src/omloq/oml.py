@@ -482,7 +482,7 @@ def check_ortho_iso(g: OrthoIso) -> ValidationReport:
     return r
 
 
-def enumerate_automorphisms(l: Oml, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list[OrthoIso]:
+def enumerate_automorphisms(l: Oml) -> list[OrthoIso]:
     """Find all ortho-automorphisms of a lattice by pruned, capped backtracking.
 
     Each element maps within its (|down|, |up|, self-perp) signature class.
@@ -492,10 +492,8 @@ def enumerate_automorphisms(l: Oml, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list
     is pruned as soon as it breaks the order in either direction or perp
     against the elements already assigned; every complete map is still
     certified by the full ``check_ortho_iso``.  Raises SizeExceeded once
-    more than ``cap`` extensions have been tried.
+    more than ``DEFAULT_AUTOMORPHISM_CAP`` extensions have been tried.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     sig = {}
     for i in l.elements():
         key = (bin(l.down[i]).count("1"), bin(l.up[i]).count("1"), l.perp[i] == i)
@@ -525,8 +523,9 @@ def enumerate_automorphisms(l: Oml, cap: int = DEFAULT_AUTOMORPHISM_CAP) -> list
             if d in tbl:
                 continue
             tried += 1
-            if tried > cap:
-                raise SizeExceeded(tried, cap, "automorphism search extensions")
+            if tried > DEFAULT_AUTOMORPHISM_CAP:
+                raise SizeExceeded(tried, DEFAULT_AUTOMORPHISM_CAP,
+                                   "automorphism search extensions tried")
             tbl[s] = d
             if fits(order[:pos + 1], s, d):
                 extend(pos + 1)

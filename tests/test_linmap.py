@@ -162,7 +162,7 @@ def test_enumerate_lin_against_bruteforce_oracle():
 
 
 def test_enumerate_lin_cap():
-    with pytest.raises(SizeExceeded):
+    with pytest.raises(SizeExceeded, match=r"^estimated candidates: \d+ exceeds cap 10$"):
         enumerate_lin(catalog("mo", 2), cap=10)
 
 

@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import omloq.oml
 from omloq.errors import LatticeParseError, SizeExceeded
 from omloq.oml import (
     OrthoIso,
@@ -275,11 +276,11 @@ def test_backtracking_matches_permutation_search(l):
         assert all(check_ortho_iso(g).ok for g in autos)
 
 
-def test_automorphism_search_cap():
-    with pytest.raises(SizeExceeded):
-        enumerate_automorphisms(catalog("mo", 4), cap=1000)
-    with pytest.raises(ValueError):
-        enumerate_automorphisms(catalog("mo", 2), cap=0)
+def test_automorphism_search_cap(monkeypatch):
+    monkeypatch.setattr(omloq.oml, "DEFAULT_AUTOMORPHISM_CAP", 1000)
+    with pytest.raises(SizeExceeded,
+                       match=r"^automorphism search extensions tried: 1001 exceeds cap 1000$"):
+        enumerate_automorphisms(catalog("mo", 4))
 
 
 def test_automorphisms_of_mo5_and_boolean5():

@@ -59,7 +59,7 @@ def test_generate_rejects_non_orthomodular():
 
 
 def test_generate_cap():
-    with pytest.raises(SizeExceeded):
+    with pytest.raises(SizeExceeded, match=r"^monoid elements: 8 exceeds cap 7$"):
         generate_T(catalog("mo", 2), cap=7)
 
 
