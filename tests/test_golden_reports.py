@@ -29,6 +29,7 @@ SWAP = "iso 0 0\niso a b\niso b a\niso a' b'\niso b' a'\niso 1 1\n"
 CASES = {
     "toda_mo2": ["toda", "{mo2}"],
     "toda_boolean2": ["toda", "{boolean2}"],
+    "toda_boolean3": ["toda", "{boolean3}"],
     "equiv_mo2_swap": ["equiv", "{mo2}", "{swap}"],
     "linmaps_boolean2": ["linmaps", "{boolean2}"],
     "linmaps_mo2": ["linmaps", "{mo2}"],
@@ -50,7 +51,7 @@ VERDICT_CASES = {
 @pytest.fixture()
 def inputs(tmp_path):
     paths = {}
-    for name, k in (("mo", 2), ("boolean", 2), ("o6", 0)):
+    for name, k in (("mo", 2), ("boolean", 2), ("boolean", 3), ("o6", 0)):
         path = tmp_path / f"{name}{k or ''}.lat"
         path.write_text(format_lattice(catalog(name, k)))
         paths[f"{name}{k or ''}"] = str(path)
