@@ -331,14 +331,18 @@ def _join_families(elems: list[DynElem], pairs):
     yield elems
 
 
-def _per_suite(f):
-    """f (tilde or double tilde) memoised by element ids, for one suite call."""
-    memo: dict[tuple[int, ...], DynElem] = {}
+def _per_suite(f, elems: list[DynElem]):
+    """f (tilde or double tilde) memoised by ids for one suite call, on the sample's id
+    sets only: other id sets, mostly fresh products, are recomputed, so the memo holds no
+    key tuple that the sample does not already hold."""
+    memo: dict[tuple[int, ...], DynElem | None] = {e.ids: None for e in elems}
 
     def cached(a: DynElem) -> DynElem:
         value = memo.get(a.ids)
         if value is None:
-            value = memo[a.ids] = f(a)
+            value = f(a)
+            if a.ids in memo:
+                memo[a.ids] = value
         return value
 
     return cached
@@ -355,7 +359,7 @@ def verify_ida(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validatio
     r = ValidationReport(title=f"ida axioms on P(T({alg.l.name})) [{mode}]")
     pairs = policy.pairs(alg)
     elems = policy.elements(alg)
-    tilde, tilde_tilde = _per_suite(alg.tilde), _per_suite(alg.tilde_tilde)
+    tilde, tilde_tilde = _per_suite(alg.tilde, elems), _per_suite(alg.tilde_tilde, elems)
 
     r.first("IDA2.tilde_absorbs_right_closure", (
         f"x={x!r} y={y!r}" for x, y in pairs
@@ -469,7 +473,7 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
 
     r.first("A4.unit_acts_as_identity", (l.names[v] for v in tests if act(alg.unit)[v] != v))
 
-    tilde, tilde_tilde = _per_suite(alg.tilde), _per_suite(alg.tilde_tilde)
+    tilde, tilde_tilde = _per_suite(alg.tilde, elems), _per_suite(alg.tilde_tilde, elems)
     r.first("triple_tilde_collapses",
             (repr(x) for x in elems if tilde(tilde_tilde(x)) != tilde(x)))
 
