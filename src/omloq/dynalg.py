@@ -331,13 +331,13 @@ def _join_families(elems: list[DynElem], pairs):
     yield elems
 
 
-def _per_suite(f, elems: list[DynElem]):
+def _per_suite(f, elems):
     """f (tilde or double tilde) memoised by ids for one suite call, on the sample's id
     sets only: other id sets, mostly fresh products, are recomputed, so the memo holds no
     key tuple that the sample does not already hold."""
-    memo: dict[tuple[int, ...], DynElem | None] = {e.ids: None for e in elems}
+    memo = dict.fromkeys(e.ids for e in elems)
 
-    def cached(a: DynElem) -> DynElem:
+    def cached(a):
         value = memo.get(a.ids)
         if value is None:
             value = f(a)
