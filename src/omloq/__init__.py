@@ -1,128 +1,39 @@
 """Finite orthomodular lattices, their linear-map quantales, generated
 projection monoids, powerset dynamic algebras, and the verification suites
-tying the constructions together."""
+tying the constructions together.
 
-from .errors import LatticeParseError, OmloqError, SizeExceeded
-from .oml import (
-    Oml,
-    OrthoIso,
-    catalog,
-    check_ortho_iso,
-    enumerate_automorphisms,
-    format_lattice,
-    identity_iso,
-    load_lattice,
-    parse_lattice,
-    parse_lattice_json,
-    sasaki_hook,
-    sasaki_projection,
-    validate_oml,
-)
-from .linmap import (
-    EndoMap,
-    LinMap,
-    NotLinear,
-    bruteforce_lin,
-    compose,
-    enumerate_lin,
-    foulis_perp,
-    order_adjoint,
-    orth_adjoint,
-    pointwise_join,
-    sasaki_projection_lattice,
-    verify_foulis,
-    verify_left_module_on_M,
-)
-from .testmonoid import InvMonoid, MonoidElem, generate_T, mono_compose, mono_star
-from .dynalg import (
-    DynAlgebra,
-    DynElem,
-    SamplePolicy,
-    verify_ida,
-    verify_module,
-    verify_toda,
-)
-from .equivalence import (
-    DynMorphism,
-    SuiteFailure,
-    TodaHandle,
-    check_naturality_lambda,
-    check_naturality_mu,
-    gamma_morphism,
-    gamma_object,
-    lambda_component,
-    mu_component,
-    nu_map,
-    psi_morphism,
-    psi_object,
-    round_trip_report,
-    verify_h_map,
-)
-from .hilbert3 import RatSubspace, meet, join, orth, sasaki3, span, witness_report
-from .report import Check, ValidationReport
+Each export is imported from its module on first access (PEP 562), so a
+command loads only the layers it runs.
+"""
 
-__all__ = [
-    "Check",
-    "DynAlgebra",
-    "DynElem",
-    "DynMorphism",
-    "EndoMap",
-    "InvMonoid",
-    "LatticeParseError",
-    "LinMap",
-    "MonoidElem",
-    "NotLinear",
-    "Oml",
-    "OmloqError",
-    "OrthoIso",
-    "RatSubspace",
-    "SamplePolicy",
-    "SizeExceeded",
-    "SuiteFailure",
-    "TodaHandle",
-    "ValidationReport",
-    "bruteforce_lin",
-    "catalog",
-    "check_naturality_lambda",
-    "check_naturality_mu",
-    "check_ortho_iso",
-    "compose",
-    "enumerate_automorphisms",
-    "enumerate_lin",
-    "format_lattice",
-    "foulis_perp",
-    "gamma_morphism",
-    "gamma_object",
-    "generate_T",
-    "identity_iso",
-    "join",
-    "lambda_component",
-    "load_lattice",
-    "meet",
-    "mono_compose",
-    "mono_star",
-    "mu_component",
-    "nu_map",
-    "order_adjoint",
-    "orth",
-    "orth_adjoint",
-    "parse_lattice",
-    "parse_lattice_json",
-    "pointwise_join",
-    "psi_morphism",
-    "psi_object",
-    "round_trip_report",
-    "sasaki3",
-    "sasaki_hook",
-    "sasaki_projection",
-    "sasaki_projection_lattice",
-    "span",
-    "validate_oml",
-    "verify_foulis",
+from importlib import import_module
+
+_EXPORTS = {
+    "errors": "LatticeParseError OmloqError SizeExceeded SuiteFailure",
+    "oml": "Oml OrthoIso catalog check_ortho_iso enumerate_automorphisms format_lattice identity_iso "
+    "load_lattice parse_lattice parse_lattice_json sasaki_hook sasaki_projection validate_oml",
+    "linmap": "EndoMap LinMap NotLinear bruteforce_lin compose enumerate_lin foulis_perp order_adjoint "
+    "orth_adjoint pointwise_join sasaki_projection_lattice verify_foulis verify_left_module_on_M",
+    "testmonoid": "InvMonoid MonoidElem generate_T mono_compose mono_star",
+    "dynalg": "DynAlgebra DynElem SamplePolicy verify_ida verify_module verify_toda",
+    "equivalence": "DynMorphism TodaHandle check_naturality_lambda check_naturality_mu gamma_morphism "
+    "gamma_object lambda_component mu_component nu_map psi_morphism psi_object round_trip_report "
     "verify_h_map",
-    "verify_ida",
-    "verify_left_module_on_M",
-    "verify_module",
-    "verify_toda",
-    "witness_report",
-]
+    "hilbert3": "RatSubspace meet join orth sasaki3 span witness_report",
+    "report": "Check ValidationReport",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-from . import hilbert3
-from .dynalg import DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, SamplePolicy
-from .equivalence import SuiteFailure, gamma_object, round_trip_report
-from .errors import LatticeParseError, SizeExceeded
+from .errors import LatticeParseError, SizeExceeded, SuiteFailure
 from .linmap import (
     DEFAULT_LIN_CAP,
+    _Carrier,
     enumerate_lin,
     sasaki_projection_lattice,
     verify_foulis,
@@ -35,7 +33,7 @@ from .oml import (
     validate_oml,
 )
 from .report import ValidationReport
-from .testmonoid import DEFAULT_MONOID_CAP, export_cayley_csv, generate_T
+from .testmonoid import DEFAULT_MONOID_CAP, DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, export_cayley_csv, generate_T
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -47,7 +45,9 @@ EXIT_CAP = 3
 _Outcome = tuple[dict, list[ValidationReport], list[str]]
 
 
-def _policy(args) -> SamplePolicy:
+def _policy(args):
+    from .dynalg import SamplePolicy
+
     return SamplePolicy(seed=args.seed, n_random=args.samples,
                         exhaustive_threshold=args.exhaustive_threshold)
 
@@ -132,9 +132,10 @@ def _on_valid_lattice(cmd):
 @_on_valid_lattice
 def cmd_linmaps(l: Oml, args) -> _Outcome:
     maps = enumerate_lin(l, cap=args.lin_cap)
-    foulis = verify_foulis(l, maps)
-    module = verify_left_module_on_M(l, maps)
-    _, _, extraction = sasaki_projection_lattice(l, maps)
+    c = _Carrier(l, maps)  # one carrier, so each composite and join is computed once per run
+    foulis = verify_foulis(l, c)
+    module = verify_left_module_on_M(l, c)
+    _, _, extraction = sasaki_projection_lattice(l, c)
     reports = [foulis, module, extraction]
     data = {"lattice": l.name, "carrier_size": len(maps)}
     text = [f"carrier: {len(maps)} maps"]
@@ -162,6 +163,8 @@ def cmd_tmonoid(l: Oml, args) -> _Outcome:
 
 @_on_valid_lattice
 def cmd_toda(l: Oml, args) -> _Outcome:
+    from .equivalence import gamma_object
+
     h = gamma_object(l, _policy(args), monoid_cap=args.monoid_cap, require=False)
     reports = list(h.suites.values())
     data = {"lattice": l.name, "monoid_size": h.monoid.size}
@@ -173,6 +176,8 @@ def cmd_toda(l: Oml, args) -> _Outcome:
 
 @_on_valid_lattice
 def cmd_equiv(l: Oml, args) -> _Outcome:
+    from .equivalence import round_trip_report
+
     morphisms = []
     for path in args.morphisms:
         iso = _parse_morphism_file(path, l)
@@ -189,6 +194,8 @@ def cmd_equiv(l: Oml, args) -> _Outcome:
 
 
 def cmd_witness(args) -> _Outcome:
+    from . import hilbert3
+
     def parse_sub(text):
         if text is None:
             return None

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 from .oml import Oml, OrthoIso, check_ortho_iso, oml_from_tables, validate_oml
 from .report import ValidationReport
-from .testmonoid import InvMonoid, mono_star
+from .testmonoid import DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, InvMonoid, mono_star
 
-DEFAULT_SEED = 3405691582
-EXHAUSTIVE_THRESHOLD = 12
 PAIR_PARTNERS = 4  # seeded partners per sampled element in two-variable axioms
 ACTION_PAIR_CAP = 4000  # pairs kept for the action-heavy checks
 

@@ -15,19 +15,10 @@ import operator
 from dataclasses import dataclass, field
 
 from .dynalg import DynAlgebra, DynElem, SamplePolicy, verify_ida, verify_module, verify_toda
-from .errors import OmloqError
+from .errors import SuiteFailure
 from .oml import Oml, OrthoIso, check_ortho_iso, identity_iso
 from .report import ValidationReport
 from .testmonoid import DEFAULT_MONOID_CAP, InvMonoid, generate_T, mono_star
-
-
-class SuiteFailure(OmloqError):
-    """A verification suite failed while building a handle; the instance
-    falsifies the construction, which should never happen on valid input."""
-
-    def __init__(self, message: str, report: ValidationReport):
-        self.report = report
-        super().__init__(message)
 
 
 @dataclass

@@ -24,3 +24,12 @@ class SizeExceeded(OmloqError):
         self.cap = cap
         self.what = what
         super().__init__(f"{what}: {count} exceeds cap {cap}")
+
+
+class SuiteFailure(OmloqError):
+    """A verification suite failed while building a handle; the instance
+    falsifies the construction, which should never happen on valid input."""
+
+    def __init__(self, message: str, report):
+        self.report = report  # the ValidationReport that failed
+        super().__init__(message)

@@ -193,16 +193,3 @@ def parse_vector(text: str) -> Vec:
     if len(parts) != 3:
         raise ValueError(f"expected 3 comma-separated integers, got {text!r}")
     return tuple(int(p) for p in parts)
-
-
-def stress_subspaces(seed: int = 3405691582, count: int = 50) -> list[RatSubspace]:
-    """Reproducible random integer-spanned subspaces for property tests."""
-    import random
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        nvec = rng.randrange(0, 4)
-        vectors = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(nvec)]
-        out.append(span(*vectors))
-    return out

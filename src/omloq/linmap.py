@@ -260,13 +260,15 @@ class _Carrier:
     carrier columns, built the first time it is read; a column outside the
     carrier is computed on every read.  A perp is one of the n Sasaki tables.
     A joined table is certified by orth_adjoint once per id, and that memo is
-    filled only by orth_adjoint, never from the carrier.
+    filled only by orth_adjoint, never from the carrier.  Each suite accepts a
+    _Carrier in place of its map list, so suites on the same maps share its rows.
     """
 
     def __init__(self, l: Oml, maps: list[LinMap]):
         if any(f.l is not l and f.l.names != l.names for f in maps):
             raise ValueError("lattice mismatch in carrier")
         self.l = l
+        self.maps = maps
         self.tab: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
         self.col = [self.intern(f.base.tbl) for f in maps]  # id per position in maps
@@ -303,6 +305,10 @@ class _Carrier:
         """The ids of tab[i] after each carrier table, in id order."""
         return self._row(self._comp, self._compose, i)
 
+    def join_row(self, i: int) -> array:
+        """The ids of the pointwise joins of tab[i] with each carrier table, none certified."""
+        return self._row(self._join, self._joined, i)
+
     def comp(self, i: int, j: int) -> int:
         """The id of tab[i] after tab[j]."""
         return self._row(self._comp, self._compose, i)[j] if j < self.size else self._compose(i, j)
@@ -337,7 +343,16 @@ def _in_lin(witnesses):
         yield str(e)
 
 
-def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
+def _carrier(l: Oml, maps: list[LinMap] | _Carrier) -> _Carrier:
+    """The carrier a suite reads: maps itself when it is a _Carrier over l, else one built on it."""
+    if not isinstance(maps, _Carrier):
+        return _Carrier(l, maps)
+    if maps.l is not l:
+        raise ValueError("carrier built over another lattice")
+    return maps
+
+
+def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
     """Check the Foulis-quantale axioms on an explicit carrier of maps.
 
     The existential axiom and closure-sensitive identities are marked
@@ -345,12 +360,15 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     quantify over.  A pointwise join that is not in Lin(l) fails the check
     that took it, with the NotLinear in the witness.
     """
+    c = _carrier(l, maps)
+    maps, size, cols, zero = c.maps, c.size, c.col, c.zero
     r = ValidationReport(title=f"foulis quantale on {len(maps)} maps over {l.name}")
-    c = _Carrier(l, maps)
-    size, cols, zero = c.size, c.col, c.zero
     # each carrier map's perp and double perp, read by every check below
     perps = [c.perp(i) for i in cols]
     dperps = [c.perp(p) for p in perps]
+    # the two-variable checks index the composition rows of each map and its perp
+    rows = [c.comp_row(i) for i in cols]
+    prows = [c.comp_row(p) for p in perps]
 
     is_closed = (
         c.e < size
@@ -378,27 +396,28 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
     else:
         # x is annihilated by s exactly when it lies in the right ideal s-perp . maps;
         # one ideal per distinct perp table, so a wrong perp still shows
-        ideals = {p: set(c.comp_row(p)) for p in perps}
+        ideals = {p: set(row) for p, row in zip(perps, prows)}
         r.first(name, (f"s={s!r} x={x!r}" for s, a, p in zip(maps, c.adj, perps)
-                       for x, i in zip(maps, cols) if (c.comp(a, i) == zero) != (i in ideals[p])))
+                       for ar, ideal in ((c.comp_row(a), ideals[p]),)
+                       for x, i in zip(maps, cols) if (ar[i] == zero) != (i in ideal)))
 
     r.first("star.annihilation_iff_below_perp",
-            (f"r={rr!r} t={t!r}" for rr, a, rp in zip(maps, c.adj, perps)
-             for t, i in zip(maps, cols) if (c.comp(a, i) == zero) != (c.comp(rp, i) == i)),
+            (f"r={rr!r} t={t!r}" for rr, a, rpr in zip(maps, c.adj, prows) for ar in (c.comp_row(a),)
+             for t, i in zip(maps, cols) if (ar[i] == zero) != (rpr[i] == i)),
             detail="t <= r-perp unfolds to the same fixed-point equation")
 
     r.first("star2.perp_antitone",
             (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
-             for rr, j, rp in zip(maps, cols, perps)
-             if c.comp(j, i) == i and c.comp(tp, rp) != rp))
+             for rr, row, rp in zip(maps, rows, perps)
+             if row[i] == i and c.comp(tp, rp) != rp))
 
     r.first("star2.double_perp_fixes_tests",
             (c.show(k) for k, kk in zip(perps, dperps) if c.perp(kk) != k))
 
     r.first("star3.perp_exchange",
-            (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
-             for rr, j, rp in zip(maps, cols, perps)
-             if (c.comp(rp, i) == i) != (c.comp(tp, j) == j)))
+            (f"t={t!r} r={rr!r}" for t, i, tpr in zip(maps, cols, prows)
+             for rr, j, rpr in zip(maps, cols, prows)
+             if (rpr[i] == i) != (tpr[j] == j)))
 
     r.add(
         "lemma.item1_bounds",
@@ -408,29 +427,37 @@ def verify_foulis(l: Oml, maps: list[LinMap]) -> ValidationReport:
         and c.perp(c.perp(zero)) == zero,
     )
 
+    # a double perp is a Sasaki table, so its column may lie outside the carrier
     r.first("lemma.item2_perp_absorbs_closure",
-            (f"x={x!r} y={y!r}" for x, i in zip(maps, cols) for y, j, ypp in zip(maps, cols, dperps)
-             if c.perp(c.comp(i, ypp)) != c.perp(c.comp(i, j))))
+            (f"x={x!r} y={y!r}" for x, i, row in zip(maps, cols, rows)
+             for y, j, ypp in zip(maps, cols, dperps)
+             if c.perp(row[ypp] if ypp < size else c.comp(i, ypp)) != c.perp(row[j])))
 
     r.first("lemma.item3_join_of_closures", _in_lin(chain(
         (f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps) if c.perp(c.lin(xpp)) != xp),
         (f"x={x!r} y={y!r}" for x, i, xpp in zip(maps, cols, dperps)
+         for xr, ir in ((c.join_row(xpp), c.join_row(i)),)
          for y, j, ypp in zip(maps, cols, dperps)
-         if c.perp(c.join(xpp, ypp)) != c.perp(c.join(i, j))),
+         if c.perp(c.lin(xr[ypp]) if ypp < size else c.join(xpp, ypp)) != c.perp(c.lin(ir[j]))),
     )), detail="families: singletons and pairs")
 
+    # the outer join's column is a Sasaki table too
     r.first("lemma.item4_sasaki_identity", _in_lin(
-        f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps) for y, j in zip(maps, cols)
-        if c.perp(c.perp(c.comp(xpp, j))) != c.perp(c.join(xp, c.perp(c.join(xp, j))))
+        f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps)
+        for cr, jr in ((c.comp_row(xpp), c.join_row(xp)),)
+        for y, j in zip(maps, cols)
+        if c.perp(c.perp(cr[j])) != c.perp(c.lin(jr[k]) if (k := c.perp(c.lin(jr[j]))) < size
+                                            else c.join(xp, k))
     ))
 
     return r
 
 
-def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
+def verify_left_module_on_M(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
     """Check that f . x = f(x) makes the lattice a left module over the maps."""
+    c = _carrier(l, maps)
+    maps = c.maps
     r = ValidationReport(title=f"left module action on {l.name}")
-    c = _Carrier(l, maps)
     cols = list(zip(maps, c.col))
 
     # each table is read against the suite's lattice, as A2 and A3 read it
@@ -438,6 +465,7 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
                  (f"{f!r} at {','.join(l.names[x] for x in where) or 'empty join'}" for f in maps
                   if (where := join_preservation_witness(EndoMap(l, f.base.tbl))) is not None))
 
+    # A2 and A3 compare whole tables, and walk x only for the witness
     # the pointwise join of maps that break a join need not be in the carrier
     name = "A2.joins_of_maps_act_pointwise"
     if a1.status != PASS:
@@ -446,16 +474,18 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
         # c.lin(z) sits below the outermost loop, so the zero map is certified inside
         # _in_lin and a zero map outside Lin(l) is a witness, not an escaping _NotInLin
         r.first(name, _in_lin(chain(
-            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
-             for x, v in enumerate(c.tab[c.join(i, j)])
-             if v != l.join[f.base.tbl[x]][g.base.tbl[x]]),
+            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols
+             for row, fj in ((c.join_row(i), [l.join[v] for v in f.base.tbl]),) for g, j in cols
+             if (got := c.tab[c.lin(row[j])]) != (want := tuple(map(getitem, fj, g.base.tbl)))
+             for x in l.elements() if got[x] != want[x]),
             (f"empty join at {l.names[x]}" for z in (c.zero,)
              for x, v in enumerate(c.tab[c.lin(z)]) if v != l.bot),
         )))
 
     r.first("A3.composition_associates_with_action",
-            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for g, j in cols
-             for x, v in enumerate(c.tab[c.comp(i, j)]) if v != f.base.tbl[g.base.tbl[x]]))
+            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for row in (c.comp_row(i),) for g, j in cols
+             if (got := c.tab[row[j]]) != (want := tuple(map(f.base.tbl.__getitem__, g.base.tbl)))
+             for x in l.elements() if got[x] != want[x]))
 
     ident = identity_map(l)
     r.first("A4.unit_acts_as_identity", (l.names[x] for x in l.elements() if ident.tbl[x] != x))
@@ -466,7 +496,7 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap]) -> ValidationReport:
 # the test lattice inside the quantale
 
 
-def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso, ValidationReport]:
+def sasaki_projection_lattice(l: Oml, maps: list[LinMap] | _Carrier) -> tuple[Oml, OrthoIso, ValidationReport]:
     """Extract the orthomodular lattice of perp-images from a carrier of maps.
 
     Order, orthocomplement, meet and join are computed from the quantale
@@ -478,7 +508,7 @@ def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso
     the extraction with a failed ``tests.pointwise_joins_linear``.
     """
     r = ValidationReport(title=f"sasaki projection lattice of Lin({l.name})")
-    c = _Carrier(l, maps)
+    c = _carrier(l, maps)
 
     def as_index(k: int) -> int:
         return c.tab[k][l.top]
@@ -518,15 +548,3 @@ def sasaki_projection_lattice(l: Oml, maps: list[LinMap]) -> tuple[Oml, OrthoIso
     iso = OrthoIso(l, extracted, tuple(l.elements()), name="pi")
     r.extend(check_ortho_iso(iso), prefix="iso_to_source.")
     return extracted, iso, r
-
-
-def scan_nonmonotone(l: Oml) -> list[tuple[int, int, int]]:
-    """Find (u, v, x) with u <= v but pi_u(x) not below pi_v(x); informative only."""
-    found = []
-    for u in l.elements():
-        for v in l.elements():
-            if u != v and l.leq(u, v):
-                for x in l.elements():
-                    if not l.leq(sasaki_projection(l, u, x), sasaki_projection(l, v, x)):
-                        found.append((u, v, x))
-    return found

@@ -18,6 +18,9 @@ from .linmap import EndoMap, LinMap, orth_adjoint, sasaki_map
 from .oml import Oml, validate_oml
 
 DEFAULT_MONOID_CAP = 100_000
+# the sampling defaults of the dynamic-algebra suites over the powerset of T
+DEFAULT_SEED = 3405691582
+EXHAUSTIVE_THRESHOLD = 12
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,38 @@ def test_env_seed_override(lattice_file, schema, monkeypatch):
     assert main(["toda", lattice_file("chain2")]) == 2
 
 
+def test_cli_loads_no_dynamic_algebra_layer():
+    import omloq
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(omloq.__file__)), os.environ.get("PYTHONPATH", "")]))
+    code = "import json, sys, omloq.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert {"omloq.cli", "omloq.linmap", "omloq.testmonoid"} <= loaded
+    assert not loaded & {"omloq.dynalg", "omloq.equivalence", "omloq.hilbert3"}
+
+
+def test_package_exports_resolve_on_first_access():
+    import omloq
+    import omloq.dynalg
+    import omloq.equivalence
+    import omloq.errors
+    import omloq.testmonoid
+
+    assert len(set(omloq.__all__)) == len(omloq.__all__)
+    for name in omloq.__all__:
+        getattr(omloq, name)
+    namespace = {}
+    exec("from omloq import *", namespace)
+    assert set(omloq.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_export"):
+        getattr(omloq, "no_such_export")
+    # the moved names are still importable from their old homes
+    assert omloq.equivalence.SuiteFailure is omloq.errors.SuiteFailure is omloq.SuiteFailure
+    assert omloq.dynalg.DEFAULT_SEED == omloq.testmonoid.DEFAULT_SEED == 3405691582
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     lat = tmp_path / "mo2.lat"
     lat.write_text(format_lattice(catalog("mo", 2)))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,19 @@ from omloq.hilbert3 import (
     parse_vector,
     sasaki3,
     span,
-    stress_subspaces,
     witness_report,
 )
+
+
+def stress_subspaces(seed: int = 3405691582, count: int = 50) -> list[RatSubspace]:
+    """Reproducible random integer-spanned subspaces for property tests."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nvec = rng.randrange(0, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(nvec)]
+        out.append(span(*vectors))
+    return out
 
 
 def test_span_examples():

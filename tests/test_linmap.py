@@ -23,12 +23,11 @@ from omloq.linmap import (
     pointwise_join,
     sasaki_map,
     sasaki_projection_lattice,
-    scan_nonmonotone,
     verify_foulis,
     verify_left_module_on_M,
     zero_map,
 )
-from omloq.oml import catalog, check_ortho_iso, sasaki_hook
+from omloq.oml import catalog, check_ortho_iso, format_lattice, sasaki_hook, sasaki_projection
 
 LIN_VARIANTS = os.path.join(os.path.dirname(__file__), "golden", "lin_variants.json")
 
@@ -254,6 +253,18 @@ def test_characterization_converse():
                 assert tbl == sasaki_map(l, m).tbl
 
 
+def scan_nonmonotone(l):
+    """Find (u, v, x) with u <= v but pi_u(x) not below pi_v(x)."""
+    found = []
+    for u in l.elements():
+        for v in l.elements():
+            if u != v and l.leq(u, v):
+                for x in l.elements():
+                    if not l.leq(sasaki_projection(l, u, x), sasaki_projection(l, v, x)):
+                        found.append((u, v, x))
+    return found
+
+
 def test_nonmonotone_scan_reports_mo2_finding():
     mo2 = catalog("mo", 2)
     found = scan_nonmonotone(mo2)
@@ -374,14 +385,23 @@ def lin_variants(l):
     return out
 
 
-def lin_variant_reports():
+def per_suite_reports(l, maps):
+    """The three Lin suites, each building its own carrier over maps."""
+    return [verify_foulis(l, maps), verify_left_module_on_M(l, maps), sasaki_projection_lattice(l, maps)[2]]
+
+
+def shared_carrier_reports(l, maps):
+    """The three Lin suites reading one carrier, as ``omloq linmaps`` runs them."""
+    c = _Carrier(l, maps)
+    return [verify_foulis(l, c), verify_left_module_on_M(l, c), sasaki_projection_lattice(l, c)[2]]
+
+
+def lin_variant_reports(suites=per_suite_reports):
     """The three Lin suites' reports on nine carriers each of Lin(chain2), Lin(B2), Lin(MO1)."""
     out = {}
     for l in (catalog("chain2"), catalog("boolean", 2), catalog("mo", 1)):
         for name, maps in lin_variants(l).items():
-            reports = [verify_foulis(l, maps), verify_left_module_on_M(l, maps),
-                       sasaki_projection_lattice(l, maps)[2]]
-            out[f"{l.name}/{name}"] = [r.to_dict() for r in reports]
+            out[f"{l.name}/{name}"] = [r.to_dict() for r in suites(l, maps)]
     return out
 
 
@@ -389,6 +409,54 @@ def test_lin_variants_match_golden():
     # the golden file was written by the per-call suites that predate the indexed carrier
     with open(LIN_VARIANTS, encoding="utf-8") as fh:
         assert lin_variant_reports() == json.load(fh)
+
+
+def test_shared_carrier_matches_golden():
+    with open(LIN_VARIANTS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 27
+    assert any(r["verdict"] == "fail" for reports in golden.values() for r in reports)
+    assert lin_variant_reports(shared_carrier_reports) == golden
+
+
+def test_shared_carrier_gives_the_per_suite_witnesses_on_a_broken_lattice():
+    b2, broken = broken_boolean2()
+    maps = enumerate_lin(b2)
+    # all 16 tables fail A1; the 10 that keep broken's joins reach A2's non-linear join
+    kept = [f for f in maps if join_preservation_witness(EndoMap(broken, f.base.tbl)) is None]
+    for carrier in (maps, kept):
+        shared = [r.to_dict() for r in shared_carrier_reports(broken, carrier)]
+        assert shared == [r.to_dict() for r in per_suite_reports(broken, carrier)]
+        assert any("is not in Lin: NotLinear(" in c.get("witness", "") for r in shared for c in r["checks"])
+
+
+def test_suites_reject_a_carrier_over_another_lattice():
+    b2, broken = broken_boolean2()
+    with pytest.raises(ValueError, match="another lattice"):
+        verify_foulis(broken, _Carrier(b2, enumerate_lin(b2)))
+
+
+def test_linmaps_computes_each_composite_and_join_once(tmp_path, monkeypatch, capsys):
+    from omloq.cli import main
+
+    lat = tmp_path / "mo2.lat"
+    lat.write_text(format_lattice(catalog("mo", 2)))
+    calls = dict.fromkeys(("_compose", "_joined"), 0)
+
+    def counted(name, fn):
+        def wrapper(self, i, j):
+            calls[name] += 1
+            return fn(self, i, j)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_Carrier, name, counted(name, getattr(_Carrier, name)))
+    assert main(["--json", "linmaps", str(lat)]) == 0
+    assert '"carrier_size": 234' in capsys.readouterr().out
+    # a carrier per suite made 110,916 of each, twice the 234**2 composites of Lin(mo2)
+    assert 0 < calls["_compose"] <= 234 ** 2
+    assert 0 < calls["_joined"] <= 234 ** 2
 
 
 def carrier_cases():
