@@ -80,7 +80,7 @@ def _parse_morphism_file(path: str, l: Oml) -> OrthoIso:
             src = l.index(tokens[1])
             dst = l.index(tokens[2])
         except KeyError as e:
-            raise LatticeParseError(str(e), lineno) from None
+            raise LatticeParseError(e.args[0], lineno) from None
         if tbl[src] != -1:
             raise LatticeParseError(f"duplicate mapping for {tokens[1]!r}", lineno)
         tbl[src] = dst
@@ -109,7 +109,7 @@ def cmd_sasaki(args) -> _Outcome:
         m = l.index(args.m)
         x = l.index(args.n)
     except KeyError as e:
-        raise LatticeParseError(str(e)) from None
+        raise LatticeParseError(e.args[0]) from None
     pi = sasaki_projection(l, m, x)
     hook = sasaki_hook(l, m, x)
     data = {"lattice": l.name, "m": args.m, "n": args.n, "pi": l.names[pi], "hook": l.names[hook]}

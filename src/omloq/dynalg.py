@@ -224,9 +224,6 @@ class DynAlgebra:
         mem = set(a.ids)
         return [self.singleton(i) for i in self.carrier if i in mem]
 
-    def from_atoms(self, atoms) -> DynElem:
-        return self.union_all(atoms)
-
 
 # ---------------------------------------------------------------------------
 # sampling

@@ -90,12 +90,6 @@ class DynMorphism:
     def apply(self, x: DynElem) -> DynElem:
         return self.dst.alg.elem(self.elem_map[i] for i in x.ids)
 
-    def inverse(self) -> "DynMorphism":
-        inv = [0] * len(self.elem_map)
-        for i, j in enumerate(self.elem_map):
-            inv[j] = i
-        return DynMorphism(self.dst, self.src, tuple(inv), name=f"{self.name}^-1")
-
 
 def verify_dyn_morphism(
     phi: DynMorphism, policy: SamplePolicy | None = None
@@ -203,26 +197,8 @@ def nu_table(h: TodaHandle, target: TodaHandle) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nu_map(h: TodaHandle, target: TodaHandle, k) -> int:
-    """nu of one element: accepts a monoid id or a singleton DynElem."""
-    if isinstance(k, DynElem):
-        if len(k.ids) != 1:
-            raise ValueError("nu applies to monoid elements, i.e. singletons")
-        k = k.ids[0]
-    return nu_table(h, target)[k]
-
-
-def mu_component(h: TodaHandle) -> OrthoIso:
-    """The lattice-to-test-lattice relabeling; equals delta by construction."""
-    return h.delta
-
-
-def verify_nu(h: TodaHandle, target: TodaHandle) -> ValidationReport:
-    """nu is an isomorphism of involutive monoids onto the target."""
-    return _nu_report(h, target, nu_table(h, target))
-
-
 def _nu_report(h: TodaHandle, target: TodaHandle, nu: tuple[int, ...]) -> ValidationReport:
+    """nu is an isomorphism of involutive monoids onto the target."""
     r = ValidationReport(title=f"nu on T({h.oml.name})")
     r.add("bijective", sorted(nu) == list(target.monoid.ids()))
     r.add("unit_preserved", nu[h.monoid.unit_id] == target.monoid.unit_id)
@@ -328,22 +304,22 @@ def verify_h_map(h: TodaHandle, policy: SamplePolicy | None = None) -> Validatio
     elems = policy.elements(alg)
 
     r.first("join_after_h_is_identity",
-            (repr(x) for x in elems if alg.from_atoms(alg.h_map(x)) != x))
+            (repr(x) for x in elems if alg.union_all(alg.h_map(x)) != x))
 
     def atom_ids(x: DynElem) -> list[tuple[int, ...]]:
         return [a.ids for a in alg.h_map(x)]
 
     r.first("h_after_join_is_identity",
-            (repr(x) for x in elems if atom_ids(alg.from_atoms(alg.h_map(x))) != atom_ids(x)))
+            (repr(x) for x in elems if atom_ids(alg.union_all(alg.h_map(x))) != atom_ids(x)))
 
     r.first("product_intertwined", (
         f"{x!r},{y!r}" for x, y in policy.action_pairs(alg)
         if atom_ids(alg.mul(x, y))
-        != atom_ids(alg.mul(alg.from_atoms(alg.h_map(x)), alg.from_atoms(alg.h_map(y))))))
+        != atom_ids(alg.mul(alg.union_all(alg.h_map(x)), alg.union_all(alg.h_map(y))))))
 
     for name, op in (("star_intertwined", alg.star), ("tilde_intertwined", alg.tilde)):
         r.first(name, (repr(x) for x in elems
-                       if atom_ids(op(x)) != atom_ids(op(alg.from_atoms(alg.h_map(x))))))
+                       if atom_ids(op(x)) != atom_ids(op(alg.union_all(alg.h_map(x))))))
 
     r.add("unit_atoms", [a.ids for a in alg.h_map(alg.unit)] == [alg.unit.ids])
     return r
@@ -375,7 +351,8 @@ def round_trip_report(
     if not h.verified:
         return report
 
-    report.add("mu_component.is_ortho_iso", check_ortho_iso(mu_component(h)).ok)
+    # the mu component is delta, the relabeling of the lattice onto its tests
+    report.add("mu_component.is_ortho_iso", check_ortho_iso(h.delta).ok)
 
     target = gamma_object(psi_object(h), policy, monoid_cap=monoid_cap, require=False)
     report.add("gamma_of_test_lattice", target.verified)

@@ -69,16 +69,8 @@ class InvMonoid:
         except KeyError:
             raise KeyError("table does not belong to the generated monoid") from None
 
-    def endomap(self, a: int) -> EndoMap:
-        return EndoMap(self.l, self.elems[a].tbl)
-
     def label(self, a: int) -> str:
         return "pi(" + ")pi(".join(self.l.names[m] for m in self.elems[a].witness) + ")"
-
-
-def mono_compose(m: InvMonoid, a: int, b: int) -> int:
-    """Cayley product: the id whose table is tbl_a composed after tbl_b."""
-    return m.cayley[a][b]
 
 
 def mono_star(m: InvMonoid, a: int) -> int:
@@ -101,7 +93,6 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
 
     by_tbl: dict[tuple[int, ...], int] = {}
     elems: list[MonoidElem] = []
-    words: list[tuple[int, ...]] = []
     gen_tbls: list[tuple[int, ...]] = []
 
     def intern(tbl: tuple[int, ...], word: tuple[int, ...]) -> int | None:
@@ -112,7 +103,6 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
         eid = len(elems)
         by_tbl[tbl] = eid
         elems.append(MonoidElem(eid, tbl, word, star_id=-1))
-        words.append(word)
         return eid
 
     gen_id = []
@@ -126,8 +116,7 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
     while frontier:
         fresh: list[int] = []
         for eid in frontier:
-            tbl = elems[eid].tbl
-            word = words[eid]
+            tbl, word = elems[eid].tbl, elems[eid].witness
             for m in l.elements():
                 g = gen_tbls[m]
                 left = tuple(g[tbl[x]] for x in l.elements())
@@ -183,14 +172,8 @@ def bruteforce_closure(l: Oml) -> set[tuple[int, ...]]:
         closed |= new
 
 
-def cayley_rows(m: InvMonoid):
-    for a, row in enumerate(m.cayley):
-        for b, ab in enumerate(row):
-            yield (a, b, ab)
-
-
 def export_cayley_csv(m: InvMonoid, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "product"])
-        writer.writerows(cayley_rows(m))
+        writer.writerows((a, b, ab) for a, row in enumerate(m.cayley) for b, ab in enumerate(row))

@@ -120,6 +120,12 @@ def test_sasaki_json(lattice_file, schema):
     assert doc["data"]["pi"] == "0" and doc["data"]["hook"] == "q"
 
 
+def test_sasaki_unknown_label_is_unquoted(lattice_file, schema):
+    code, doc = run_json(["sasaki", lattice_file("chain2"), "0", "2"], schema)
+    assert code == 2 and doc["verdict"] == "input-error"
+    assert doc["data"]["error"] == "unknown element label '2'"
+
+
 def test_linmaps_command(lattice_file, schema):
     code, doc = run_json(["linmaps", lattice_file("boolean", 2)], schema)
     assert code == 0
@@ -191,6 +197,16 @@ def test_morphism_file_shares_the_lattice_tokenizer(lattice_file, schema, tmp_pa
     code, doc = run_json(["equiv", mo2, str(malformed)], schema)
     assert code == 2
     assert doc["data"]["error"] == "line 2: expected 'iso <src> <dst>', got 'iso a b b'"
+
+
+def test_morphism_unknown_label_is_unquoted(lattice_file, schema, tmp_path, capsys):
+    unknown = tmp_path / "unknown.iso"
+    unknown.write_text("iso 0 z\n")
+    code, doc = run_json(["equiv", lattice_file("mo", 2), str(unknown)], schema)
+    assert code == 2 and doc["verdict"] == "input-error"
+    assert doc["data"]["error"] == "line 1: unknown element label 'z'"
+    assert main(["equiv", lattice_file("mo", 2), str(unknown)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == "error: line 1: unknown element label 'z'"
 
 
 def test_witness_command(schema, capsys):

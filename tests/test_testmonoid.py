@@ -1,3 +1,4 @@
+import csv
 import itertools
 import random
 
@@ -5,14 +6,12 @@ import pytest
 
 from omloq.dynalg import DynAlgebra
 from omloq.errors import SizeExceeded
-from omloq.linmap import LinMap, orth_adjoint
+from omloq.linmap import EndoMap, LinMap, orth_adjoint
 from omloq.oml import catalog
 from omloq.testmonoid import (
     bruteforce_closure,
-    cayley_rows,
     export_cayley_csv,
     generate_T,
-    mono_compose,
     mono_star,
 )
 
@@ -69,9 +68,9 @@ def test_compose_and_star_examples():
     a, b = mo2.index("a"), mo2.index("b")
     ga, gb = m.gen_id[a], m.gen_id[b]
     for x in m.ids():
-        assert mono_compose(m, m.unit_id, x) == x
-        assert mono_compose(m, x, m.unit_id) == x
-    ab = mono_compose(m, ga, gb)
+        assert m.cayley[m.unit_id][x] == x
+        assert m.cayley[x][m.unit_id] == x
+    ab = m.cayley[ga][gb]
     names = mo2.names
     assert {names[x]: names[v] for x, v in enumerate(m.tbl(ab))} == {
         "0": "0", "b'": "0", "a": "a", "a'": "a", "b": "a", "1": "a"
@@ -88,9 +87,7 @@ def test_star_is_involutive_antihomomorphism():
     for x in m.ids():
         assert mono_star(m, mono_star(m, x)) == x
         for y in m.ids():
-            assert mono_star(m, mono_compose(m, x, y)) == mono_compose(
-                m, mono_star(m, y), mono_star(m, x)
-            )
+            assert mono_star(m, m.cayley[x][y]) == m.cayley[mono_star(m, y)][mono_star(m, x)]
 
 
 def test_witnesses_compose_to_tables(corpus):
@@ -111,7 +108,7 @@ def test_every_element_is_linear_with_reversed_adjoint():
     mo2 = catalog("mo", 2)
     m = generate_T(mo2)
     for e in m.elems:
-        res = orth_adjoint(m.endomap(e.id))
+        res = orth_adjoint(EndoMap(mo2, e.tbl))
         assert isinstance(res, LinMap)
         assert res.adj.tbl == m.tbl(e.star_id)
 
@@ -129,7 +126,7 @@ def test_minimality_subset_audit_small():
             for drop in itertools.combinations(non_gens, r + 1):
                 keep = set(m.ids()) - set(drop)
                 closed = all(
-                    mono_compose(m, x, y) in keep for x in keep for y in keep
+                    m.cayley[x][y] in keep for x in keep for y in keep
                 )
                 assert not closed, "a proper subset is closed: not minimal"
 
@@ -151,11 +148,11 @@ def test_boolean_monoid_is_meet_semilattice():
         assert set(m.gen_id) == set(m.ids())
         for x in l.elements():
             for y in l.elements():
-                prod = mono_compose(m, m.gen_id[x], m.gen_id[y])
+                prod = m.cayley[m.gen_id[x]][m.gen_id[y]]
                 assert prod == m.gen_id[l.meet[x][y]]
-                assert prod == mono_compose(m, m.gen_id[y], m.gen_id[x])
+                assert prod == m.cayley[m.gen_id[y]][m.gen_id[x]]
         for x in m.ids():
-            assert mono_compose(m, x, x) == x
+            assert m.cayley[x][x] == x
 
 
 def test_shortest_witness():
@@ -183,13 +180,13 @@ def _word_table(l, word):
 
 def test_cayley_export(tmp_path):
     m = generate_T(catalog("boolean", 2))
-    rows = list(cayley_rows(m))
-    assert len(rows) == m.size * m.size
     path = tmp_path / "cayley.csv"
     export_cayley_csv(m, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row,col,product"
     assert len(lines) == 1 + m.size * m.size
+    rows = [tuple(map(int, row)) for row in csv.reader(lines[1:])]
+    assert rows == [(a, b, m.cayley[a][b]) for a in m.ids() for b in m.ids()]
 
 
 @pytest.mark.parametrize("name,k", sorted(EXPECTED_SIZES))
@@ -215,5 +212,5 @@ def test_setwise_product_matches_raw_tables(name, k):
 def test_cayley_table_is_built_on_first_use():
     m = generate_T(catalog("mo", 3))
     assert "cayley" not in m.__dict__
-    mono_compose(m, m.unit_id, m.unit_id)
+    assert m.cayley[m.unit_id][m.unit_id] == m.unit_id
     assert "cayley" in m.__dict__
