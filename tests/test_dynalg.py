@@ -1,9 +1,12 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
 from omloq.dynalg import (
+    ACTION_PAIR_CAP,
+    PAIR_PARTNERS,
     DynAlgebra,
     SamplePolicy,
     verify_ida,
@@ -64,9 +67,36 @@ def test_tests_are_shared_singletons(algebra_for):
     pa, pb = gens(alg, "a", "b")
     for m in l.elements():
         assert alg.delta(m) is alg.delta(m)
-        assert alg.delta(m) == alg.singleton(alg.monoid.gen_id[m])
+        assert alg.delta(m) is alg.singleton(alg.monoid.gen_id[m])
         assert alg.tilde(alg.delta(m)) is alg.delta(l.perp[m])
     assert alg.tilde(pa | pb) is alg.delta(l.bot)
+    for i in alg.carrier:
+        assert alg.singleton(i) is alg.singleton(i)
+    assert alg.unit is alg.singleton(alg.monoid.unit_id)
+
+
+def test_element_equality_is_per_algebra(algebra_for):
+    alg = algebra_for("mo", 2)
+    # a punctured-carrier control shares the monoid, so its ids coincide with alg's
+    other = DynAlgebra(alg.monoid, carrier=alg.carrier[:-1])
+    assert alg.elem((0, 3)) != other.elem((0, 3))
+    assert alg.singleton(0) != other.singleton(0)
+    x, y = alg.elem((5, 3, 0)), alg.elem((0, 3, 5))
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert len({x, y, other.elem((0, 3, 5))}) == 2
+    # the atom decomposition hands out the interned singletons
+    assert all(a is alg.singleton(a.ids[0]) for a in alg.h_map(alg.elem((0, 4, 9))))
+
+
+def test_element_operators_route_through_the_instance(algebra_for):
+    # patched-instance negative controls rely on the operators calling alg's methods
+    alg = DynAlgebra(algebra_for("mo", 2).monoid)
+    sentinel = alg.elem((1, 2))
+    for op in ("mul", "union", "star", "tilde"):
+        setattr(alg, op, lambda *args: sentinel)
+    x = alg.singleton(0)
+    assert x * x is sentinel and x | x is sentinel
+    assert x.star() is sentinel and x.tilde() is sentinel
 
 
 def test_tilde_tilde_examples(algebra_for):
@@ -298,6 +328,58 @@ def test_ida_heap_peak_stays_small(key):
     finally:
         tracemalloc.stop()
     assert peak < 400 << 10
+
+
+def test_exhaustive_sweep_stores_no_pair_list():
+    # 65,536 pairs on boolean(3): a stored list of them alone would take about 4 MiB
+    alg = DynAlgebra(generate_T(catalog("boolean", 3)))
+    policy = SamplePolicy()
+    policy.elements(alg)
+    tracemalloc.start()
+    try:
+        policy.pairs(alg)
+        for suite in (verify_ida, verify_toda, verify_module):
+            assert suite(alg, policy).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10
+
+
+def listed_pairs(policy, alg):
+    """The pair sample as one stored list: the reference for the streamed sweep."""
+    elems = policy.elements(alg)
+    if policy.is_exhaustive(alg):
+        return [(x, y) for x in elems for y in elems]
+    pool = [alg.zero, alg.one, alg.unit]
+    rng = random.Random(policy.seed + 1)
+    out = []
+    for x in elems:
+        partners = pool + [x] + [elems[rng.randrange(len(elems))] for _ in range(PAIR_PARTNERS)]
+        out.extend((x, y) for y in partners)
+    return out
+
+
+@pytest.mark.parametrize(
+    "key", [("boolean", 3), ("mo", 2), ("mo", 3), ("mo", 4), ("boolean", 4), ("punctured", 2)]
+)
+def test_streamed_pairs_are_the_listed_pairs(algebra_for, policy, key):
+    if key[0] == "punctured":
+        monoid = algebra_for("mo", key[1]).monoid
+        alg = DynAlgebra(monoid, carrier=tuple(i for i in monoid.ids() if i != 3))
+    else:
+        alg = algebra_for(*key)
+    ref = listed_pairs(policy, alg)
+    pairs = policy.pairs(alg)
+    assert list(pairs) == ref
+    assert list(pairs) == ref  # a second pass repeats the sequence
+    n = len(policy.elements(alg))
+    assert len(pairs) == (n * n if policy.is_exhaustive(alg) else n * (4 + PAIR_PARTNERS))
+    assert len(pairs) == len(ref)
+    step = len(ref) // ACTION_PAIR_CAP + 1 if len(ref) > ACTION_PAIR_CAP else 1
+    action = policy.action_pairs(alg)
+    assert list(action) == ref[::step]
+    assert len(action) == len(ref[::step])
 
 
 def test_module_join_homomorphism_exhaustive_on_b2(algebra_for):
