@@ -25,10 +25,10 @@ ACTION_PAIR_CAP = 4000  # pairs kept for the action-heavy checks
 class DynElem:
     """One element of the algebra: a canonical (sorted, deduped) id set.
 
-    Slotted, not a frozen dataclass: the suites build hundreds of thousands
-    of these, and the dataclass ``__init__`` costs about four times as much.
-    Elements of different algebras are unequal even when their ids agree.
-    Treat ``alg`` and ``ids`` as read-only.
+    A plain slotted class rather than a frozen dataclass, because the suites
+    build hundreds of thousands of these and the dataclass ``__init__`` costs
+    about four times as much.  Elements of different algebras are unequal
+    even when their ids agree.  Treat ``alg`` and ``ids`` as read-only.
     """
 
     __slots__ = ("alg", "ids")
@@ -272,11 +272,14 @@ class SamplePolicy:
     def is_exhaustive(self, alg: DynAlgebra) -> bool:
         return len(alg.carrier) <= self.exhaustive_threshold
 
-    def elements(self, alg: DynAlgebra) -> list[DynElem]:
-        key = ("elements", self)
+    def _cached(self, alg: DynAlgebra, kind: str, build):
+        key = (kind, self)
         if key not in alg._cache:
-            alg._cache[key] = self._build_elements(alg)
+            alg._cache[key] = build()
         return alg._cache[key]
+
+    def elements(self, alg: DynAlgebra) -> list[DynElem]:
+        return self._cached(alg, "elements", lambda: self._build_elements(alg))
 
     def _build_elements(self, alg: DynAlgebra) -> list[DynElem]:
         carrier = alg.carrier
