@@ -224,26 +224,25 @@ def test_criterion_10_toda_suite():
         assert rep["TODA2.minimality"].status == "fail"
 
 
+def automorphism(l, images):
+    """The automorphism of l that sends each named element to its named image."""
+    want = [(l.index(x), l.index(y)) for x, y in images.items()]
+    return next(g for g in enumerate_automorphisms(l) if all(g.map[i] == j for i, j in want))
+
+
 def test_criterion_11_equivalence_round_trip():
     with criterion(11, 120, "round trip with naturality squares and three-way isomorphism"):
-        mo2 = catalog("mo", 2)
-        a2, b2_ = mo2.index("a"), mo2.index("b")
-        swap = next(
-            g for g in enumerate_automorphisms(mo2) if g.map[a2] == b2_ and g.map[b2_] == a2
-        )
-        mo3 = catalog("mo", 3)
-        a3, b3, c3 = (mo3.index(x) for x in "abc")
-        cycle = next(
-            g
-            for g in enumerate_automorphisms(mo3)
-            if g.map[a3] == b3 and g.map[b3] == c3 and g.map[c3] == a3
-        )
+        mo2, mo3, mo4 = (catalog("mo", k) for k in (2, 3, 4))
+        b4 = catalog("boolean", 4)
         jobs = [
             (catalog("chain2"), []),
             (catalog("boolean", 2), []),
             (catalog("boolean", 3), []),
-            (mo2, [swap]),
-            (mo3, [cycle]),
+            (mo2, [automorphism(mo2, {"a": "b", "b": "a"})]),
+            (mo3, [automorphism(mo3, {"a": "b", "b": "c", "c": "a"})]),
+            # transpositions of two atoms that fix the others
+            (b4, [automorphism(b4, {"p": "q", "q": "p", "r": "r", "s": "s"})]),
+            (mo4, [automorphism(mo4, {"a": "b", "b": "a", "c": "c", "d": "d"})]),
         ]
         for l, morphisms in jobs:
             rep = round_trip_report(l, morphisms, POLICY)

@@ -1,6 +1,6 @@
 import pytest
 
-from omloq.dynalg import SamplePolicy
+from omloq.dynalg import DynAlgebra, SamplePolicy
 from omloq.equivalence import (
     SuiteFailure,
     _nu_report,
@@ -13,6 +13,7 @@ from omloq.equivalence import (
     psi_morphism,
     psi_object,
     round_trip_report,
+    verify_dyn_morphism,
     verify_h_map,
 )
 from omloq.oml import (
@@ -70,6 +71,23 @@ def test_gamma_morphism_identity_and_swap(handles, pol):
     swap = gamma_morphism(mo2_swap(), h, h, pol)
     a, b = mo2.index("a"), mo2.index("b")
     assert swap.elem_map[h.monoid.gen_id[a]] == h.monoid.gen_id[b]
+
+
+def test_passing_product_check_makes_no_setwise_products(handles, pol, monkeypatch):
+    # products are decided on the Cayley table, so a passing table sweeps no pairs
+    h, _ = handles("mo", 2)
+    phi = gamma_morphism(mo2_swap(), h, h, pol)
+    pol.elements(h.alg)  # the sample's own generator products come before the count
+    calls = []
+    mul = DynAlgebra.mul
+
+    def counted(self, a, b):
+        calls.append((a.ids, b.ids))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(DynAlgebra, "mul", counted)
+    assert verify_dyn_morphism(phi, pol).ok
+    assert calls == []
 
 
 def test_gamma_preserves_composition_samplewise(handles, pol):

@@ -25,6 +25,7 @@ from omloq.equivalence import (
     gamma_object,
     lambda_component,
     nu_table,
+    psi_morphism,
     psi_object,
     verify_dyn_morphism,
     verify_h_map,
@@ -35,7 +36,14 @@ from omloq.linmap import (
     verify_foulis,
     verify_left_module_on_M,
 )
-from omloq.oml import OrthoIso, catalog, check_ortho_iso, validate_oml
+from omloq.oml import (
+    OrthoIso,
+    catalog,
+    check_ortho_iso,
+    enumerate_automorphisms,
+    identity_iso,
+    validate_oml,
+)
 from omloq.testmonoid import generate_T
 
 WITNESS_VARIANTS = os.path.join(os.path.dirname(__file__), "golden", "witness_variants.json")
@@ -124,6 +132,45 @@ def morphism_reports():
     repeated = (0,) + tuple(h.monoid.ids())[1:-1] + (0,)
     out["dyn/repeated"] = verify_dyn_morphism(DynMorphism(h, h, repeated), POLICY).to_dict()
     return out
+
+
+def test_table_decided_products_match_the_pair_sweep(monkeypatch):
+    # verify_dyn_morphism decides products on the Cayley table and sweeps pairs only when
+    # it fails; a table forced to fail runs the sweep on every morphism, reports unchanged
+    mo2, mo3 = catalog("mo", 2), catalog("mo", 3)
+    h, h3 = gamma_object(mo2, POLICY), gamma_object(mo3, POLICY)
+    target = gamma_object(psi_object(h), POLICY)
+    swap = gamma_morphism(OrthoIso(mo2, mo2, (0, 3, 4, 1, 2, 5), name="swap"), h, h, POLICY)
+    a, b, c = (mo3.index(x) for x in "abc")
+    cycle = next(g for g in enumerate_automorphisms(mo3)
+                 if (g.map[a], g.map[b], g.map[c]) == (b, c, a))
+    phis = [
+        gamma_morphism(identity_iso(mo2), h, h, POLICY),
+        swap,
+        gamma_morphism(cycle, h3, h3, POLICY),
+        gamma_morphism(cycle.compose(cycle), h3, h3, POLICY),
+        DynMorphism(h, target, nu_table(h, target), name="lambda"),
+        # the gamma of psi in the lambda square of the swap
+        gamma_morphism(psi_morphism(swap), target, target, POLICY),
+        *(DynMorphism(h, h, swapped(h.monoid.ids(), i, j), name="s") for i, j in SWAPS),
+        DynMorphism(h, h, (0,) + tuple(h.monoid.ids())[1:-1] + (0,)),
+    ]
+    decided = [verify_dyn_morphism(phi, POLICY).to_dict() for phi in phis]
+    products = [check["status"] for r in decided for check in r["checks"]
+                if check["name"] == "product_preserved"]
+    assert products == ["pass"] * 6 + ["fail"] * len(SWAPS)
+
+    calls = []
+    mul = DynAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append((x.ids, y.ids))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(DynAlgebra, "mul", counted)
+    monkeypatch.setattr("omloq.equivalence._product_failures", lambda *args: iter(["forced"]))
+    assert [verify_dyn_morphism(phi, POLICY).to_dict() for phi in phis] == decided
+    assert calls  # the sweep ran
 
 
 # operation name -> fake(original, alg), the replacement installed on the instance
