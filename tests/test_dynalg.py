@@ -314,24 +314,13 @@ def test_double_tilde_is_computed_once_per_ids(monkeypatch):
     assert set(vars(alg)) == before
 
 
-def test_ida_heap_peak_stays_small():
-    # the tilde memo keeps no fresh product ids (about 1,750 on the sampled mo(3)); the
-    # exhaustive boolean(3) case is bounded in test_exhaustive_sweep_stores_no_pair_list
-    alg = DynAlgebra(generate_T(catalog("mo", 3)))
-    policy = SamplePolicy()
-    policy.pairs(alg)  # the sample is built and cached before the measurement
-    tracemalloc.start()
-    try:
-        assert verify_ida(alg, policy).ok
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 400 << 10
+@pytest.fixture(scope="module")
+def boolean3_heap_peaks():
+    """tracemalloc peaks of one exhaustive boolean(3) run: verify_ida, then the whole window.
 
-
-def test_exhaustive_sweep_stores_no_pair_list():
-    # 65,536 pairs on boolean(3): a stored list of them alone would take about 4 MiB, and
-    # verify_ida takes its join families one at a time, not as a list
+    65,536 pairs on boolean(3): a stored list of them alone would take about 4 MiB. Both
+    heap tests read this one run, so the slow traced sweep is made once.
+    """
     alg = DynAlgebra(generate_T(catalog("boolean", 3)))
     policy = SamplePolicy()
     policy.elements(alg)
@@ -346,8 +335,34 @@ def test_exhaustive_sweep_stores_no_pair_list():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return ida_peak, max(ida_peak, peak)
+
+
+@pytest.mark.parametrize("key", [("boolean", 3), ("mo", 3)])
+def test_ida_heap_peak_stays_small(key, request):
+    # join families come one at a time, not as a list (65,536 pairs on boolean(3)), and
+    # the tilde memo keeps no fresh product ids (about 1,750 on the sampled mo(3))
+    if key == ("boolean", 3):
+        peak, _ = request.getfixturevalue("boolean3_heap_peaks")
+    else:
+        alg = DynAlgebra(generate_T(catalog(*key)))
+        policy = SamplePolicy()
+        policy.pairs(alg)  # the sample is built and cached before the measurement
+        tracemalloc.start()
+        try:
+            assert verify_ida(alg, policy).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 400 << 10
+
+
+def test_exhaustive_sweep_stores_no_pair_list(boolean3_heap_peaks):
+    # the pair sweep, verify_ida, verify_toda and verify_module all stay far below the
+    # 4 MiB of a stored pair list
+    ida_peak, peak = boolean3_heap_peaks
     assert ida_peak < 400 << 10
-    assert max(ida_peak, peak) < 512 << 10
+    assert peak < 512 << 10
 
 
 def listed_pairs(policy, alg):
