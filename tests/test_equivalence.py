@@ -1,7 +1,9 @@
 import pytest
 
+from omloq import equivalence
 from omloq.dynalg import DynAlgebra, SamplePolicy
 from omloq.equivalence import (
+    DynMorphism,
     SuiteFailure,
     _nu_report,
     check_naturality_lambda,
@@ -74,9 +76,13 @@ def test_gamma_morphism_identity_and_swap(handles, pol):
 
 
 def test_passing_product_check_makes_no_setwise_products(handles, pol, monkeypatch):
-    # products are decided on the Cayley table, so a passing table sweeps no pairs
+    # products are decided on the Cayley table, so neither a passing nor a failing
+    # morphism sweeps any pairs
     h, _ = handles("mo", 2)
     phi = gamma_morphism(mo2_swap(), h, h, pol)
+    ids = list(h.monoid.ids())
+    ids[5], ids[6] = ids[6], ids[5]
+    bad = DynMorphism(h, h, tuple(ids), name="swapped ids")
     pol.elements(h.alg)  # the sample's own generator products come before the count
     calls = []
     mul = DynAlgebra.mul
@@ -87,6 +93,7 @@ def test_passing_product_check_makes_no_setwise_products(handles, pol, monkeypat
 
     monkeypatch.setattr(DynAlgebra, "mul", counted)
     assert verify_dyn_morphism(phi, pol).ok
+    assert verify_dyn_morphism(bad, pol)["product_preserved"].status == "fail"
     assert calls == []
 
 
@@ -253,6 +260,22 @@ def test_h_map_isomorphism(handles, pol):
         assert rep.ok, (key, [c.name for c in rep.failures])
 
 
+def test_h_map_rejoins_each_sampled_element_once(handles, pol, monkeypatch):
+    h, _ = handles("mo", 3)
+    calls = []
+    h_map = DynAlgebra.h_map
+
+    def counted(self, a):
+        calls.append(a.ids)
+        return h_map(self, a)
+
+    monkeypatch.setattr(DynAlgebra, "h_map", counted)
+    assert verify_h_map(h, pol).ok
+    # two decompositions per pair, seven per element, one of the unit
+    bound = 2 * len(pol.action_pairs(h.alg)) + 7 * len(pol.elements(h.alg)) + 1
+    assert len(calls) <= bound
+
+
 def test_mu_naturality_over_full_automorphism_groups(handles, pol):
     # the whole morphism corpus for the two smallest non-Boolean lattices:
     # every automorphism of mo(2), a spread of automorphisms of mo(3)
@@ -285,8 +308,8 @@ def test_round_trip_small(pol):
         assert rep.ok, (key, [c.name for c in rep.failures])
 
 
-def test_round_trip_with_relabeled_b2(pol):
-    # an isomorphism between two presentations of the same Boolean algebra
+def b2_relabel() -> OrthoIso:
+    """An isomorphism between two presentations of the same Boolean algebra."""
     b2 = catalog("boolean", 2)
     other = parse_lattice(
         "name b2-relabeled\n"
@@ -295,12 +318,35 @@ def test_round_trip_with_relabeled_b2(pol):
         "perp x y\n"
     )
     tbl = tuple(other.index(s) for s in ("bot", "x", "y", "top"))
-    relabel = OrthoIso(b2, other, tbl, name="relabel")
+    return OrthoIso(b2, other, tbl, name="relabel")
+
+
+def test_round_trip_with_relabeled_b2(pol):
+    relabel = b2_relabel()
+    b2 = relabel.src
     assert check_ortho_iso(relabel).ok
     rep = round_trip_report(b2, [relabel], pol)
     assert rep.ok, [c.name for c in rep.failures]
     assert any(c.name == "mu_naturality[relabel]" for c in rep.checks)
     assert any(c.name == "lambda_naturality[relabel]" for c in rep.checks)
+
+
+def test_round_trip_reports_the_destination_lambda(pol, monkeypatch):
+    # a lambda failure on the destination lattice fails the verdict, reported once
+    # however many morphisms land there
+    relabel = b2_relabel()
+    lambda_component = equivalence.lambda_component
+
+    def failing_at_destination(h, target, policy=None):
+        lam, rep = lambda_component(h, target, policy)
+        if h.oml is relabel.dst:
+            rep.add("forced", False, "at the destination")
+        return lam, rep
+
+    monkeypatch.setattr(equivalence, "lambda_component", failing_at_destination)
+    rep = round_trip_report(relabel.src, [relabel, relabel], pol)
+    assert [(c.name, c.witness) for c in rep.failures] == [
+        ("lambda_component[b2-relabeled]", "forced:at the destination")]
 
 
 def test_nu_table_failure_names_its_check(monkeypatch):

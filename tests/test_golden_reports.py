@@ -48,19 +48,6 @@ VERDICT_CASES = {
 }
 
 
-@pytest.fixture()
-def inputs(tmp_path):
-    paths = {}
-    for name, k in (("mo", 2), ("boolean", 2), ("boolean", 3), ("o6", 0)):
-        path = tmp_path / f"{name}{k or ''}.lat"
-        path.write_text(format_lattice(catalog(name, k)))
-        paths[f"{name}{k or ''}"] = str(path)
-    swap = tmp_path / "swap.iso"
-    swap.write_text(SWAP)
-    paths["swap"] = str(swap)
-    return paths
-
-
 def run_json(argv, inputs) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -68,16 +55,39 @@ def run_json(argv, inputs) -> str:
     return buf.getvalue()
 
 
+@pytest.fixture(scope="module")
+def report_of(tmp_path_factory):
+    """Each case's --json output at the default seed, run once and shared by the tests."""
+    tmp_path = tmp_path_factory.mktemp("inputs")
+    inputs = {}
+    for name, k in (("mo", 2), ("boolean", 2), ("boolean", 3), ("o6", 0)):
+        path = tmp_path / f"{name}{k or ''}.lat"
+        path.write_text(format_lattice(catalog(name, k)))
+        inputs[f"{name}{k or ''}"] = str(path)
+    swap = tmp_path / "swap.iso"
+    swap.write_text(SWAP)
+    inputs["swap"] = str(swap)
+    cache = {}
+
+    def get(case):
+        if case not in cache:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.delenv("OMLOQ_SEED", raising=False)
+                cache[case] = run_json(VERDICT_CASES[case], inputs)
+        return cache[case]
+
+    return get
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, inputs, monkeypatch):
-    monkeypatch.delenv("OMLOQ_SEED", raising=False)
+def test_report_matches_golden(case, report_of):
     with open(os.path.join(GOLDEN, f"{case}.json"), encoding="utf-8") as fh:
-        assert run_json(CASES[case], inputs) == fh.read()
+        assert report_of(case) == fh.read()
 
 
 @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
-def test_verdict_rests_on_checks(case, inputs):
-    doc = json.loads(run_json(VERDICT_CASES[case], inputs))
+def test_verdict_rests_on_checks(case, report_of):
+    doc = json.loads(report_of(case))
     statuses = [c["status"] for c in doc["checks"]]
     assert doc["verdict"] in ("pass", "fail")
     # so a fail verdict has a check that is not pass, and a pass verdict has none

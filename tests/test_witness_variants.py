@@ -134,9 +134,29 @@ def morphism_reports():
     return out
 
 
-def test_table_decided_products_match_the_pair_sweep(monkeypatch):
-    # verify_dyn_morphism decides products on the Cayley table and sweeps pairs only when
-    # it fails; a table forced to fail runs the sweep on every morphism, reports unchanged
+def singleton_laws(phi):
+    """product_preserved and star_preserved as (status, witness), from every singleton pair
+    (or singleton) through the setwise operations; none when phi is not a bijection."""
+    if sorted(phi.elem_map) != list(phi.dst.monoid.ids()):
+        return {}
+    src, dst = phi.src.alg, phi.dst.alg
+    singles = [src.singleton(a) for a in src.monoid.ids()]
+    products = (f"{x!r},{y!r}" for x in singles for y in singles
+                if phi.apply(src.mul(x, y)) != dst.mul(phi.apply(x), phi.apply(y)))
+    stars = (repr(x) for x in singles if phi.apply(src.star(x)) != dst.star(phi.apply(x)))
+    return {name: ("pass", "") if w is None else ("fail", w)
+            for name, w in (("product_preserved", next(products, None)),
+                            ("star_preserved", next(stars, None)))}
+
+
+def id_laws(report):
+    return {c.name: (c.status, c.witness) for c in report.checks
+            if c.name in ("product_preserved", "star_preserved")}
+
+
+def test_id_decided_laws_match_the_singleton_sweep():
+    # verify_dyn_morphism decides products and stars on the monoid's ids; a sweep of the
+    # singletons through DynAlgebra.mul and star gives the same statuses and witnesses
     mo2, mo3 = catalog("mo", 2), catalog("mo", 3)
     h, h3 = gamma_object(mo2, POLICY), gamma_object(mo3, POLICY)
     target = gamma_object(psi_object(h), POLICY)
@@ -155,22 +175,27 @@ def test_table_decided_products_match_the_pair_sweep(monkeypatch):
         *(DynMorphism(h, h, swapped(h.monoid.ids(), i, j), name="s") for i, j in SWAPS),
         DynMorphism(h, h, (0,) + tuple(h.monoid.ids())[1:-1] + (0,)),
     ]
-    decided = [verify_dyn_morphism(phi, POLICY).to_dict() for phi in phis]
-    products = [check["status"] for r in decided for check in r["checks"]
-                if check["name"] == "product_preserved"]
-    assert products == ["pass"] * 6 + ["fail"] * len(SWAPS)
+    decided = [id_laws(verify_dyn_morphism(phi, POLICY)) for phi in phis]
+    assert decided == [singleton_laws(phi) for phi in phis]
+    assert [d["product_preserved"][0] for d in decided if d] == ["pass"] * 6 + ["fail"] * len(SWAPS)
 
-    calls = []
-    mul = DynAlgebra.mul
 
-    def counted(self, x, y):
-        calls.append((x.ids, y.ids))
-        return mul(self, x, y)
-
-    monkeypatch.setattr(DynAlgebra, "mul", counted)
-    monkeypatch.setattr("omloq.equivalence._product_failures", lambda *args: iter(["forced"]))
-    assert [verify_dyn_morphism(phi, POLICY).to_dict() for phi in phis] == decided
-    assert calls  # the sweep ran
+def test_id_decided_laws_match_the_subset_sweep_on_boolean2():
+    # on boolean(2) the sample is every subset, and the pairs all 256 of them
+    h = gamma_object(catalog("boolean", 2), POLICY)
+    alg = h.alg
+    elems, pairs = POLICY.elements(alg), POLICY.pairs(alg)
+    assert len(elems) == 16 and len(pairs) == 256
+    statuses = set()
+    for i, j in ((0, 0), (0, 1), (1, 2), (2, 3), (0, 3), (1, 3)):
+        phi = DynMorphism(h, h, swapped(alg.monoid.ids(), i, j))
+        laws = id_laws(verify_dyn_morphism(phi, POLICY))
+        products = all(phi.apply(x * y) == phi.apply(x) * phi.apply(y) for x, y in pairs)
+        stars = all(phi.apply(x.star()) == phi.apply(x).star() for x in elems)
+        assert [laws["product_preserved"][0], laws["star_preserved"][0]] == [
+            "pass" if ok else "fail" for ok in (products, stars)], (i, j)
+        statuses.update(status for status, _ in laws.values())
+    assert statuses == {"pass", "fail"}
 
 
 # operation name -> fake(original, alg), the replacement installed on the instance
