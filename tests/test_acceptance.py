@@ -232,8 +232,8 @@ def automorphism(l, images):
 
 def test_criterion_11_equivalence_round_trip():
     with criterion(11, 120, "round trip with naturality squares and three-way isomorphism"):
-        mo2, mo3, mo4 = (catalog("mo", k) for k in (2, 3, 4))
-        b4 = catalog("boolean", 4)
+        mo2, mo3, mo4, mo5 = (catalog("mo", k) for k in (2, 3, 4, 5))
+        b4, b5 = catalog("boolean", 4), catalog("boolean", 5)
         jobs = [
             (catalog("chain2"), []),
             (catalog("boolean", 2), []),
@@ -243,6 +243,8 @@ def test_criterion_11_equivalence_round_trip():
             # transpositions of two atoms that fix the others
             (b4, [automorphism(b4, {"p": "q", "q": "p", "r": "r", "s": "s"})]),
             (mo4, [automorphism(mo4, {"a": "b", "b": "a", "c": "c", "d": "d"})]),
+            (b5, [automorphism(b5, {"p": "q", "q": "p", "r": "r", "s": "s", "t": "t"})]),
+            (mo5, [automorphism(mo5, {"a": "b", "b": "c", "c": "d", "d": "e", "e": "a"})]),
         ]
         for l, morphisms in jobs:
             rep = round_trip_report(l, morphisms, POLICY)

@@ -15,6 +15,7 @@ from omloq.dynalg import (
 )
 from omloq.oml import catalog, check_ortho_iso, sasaki_projection, validate_oml
 from omloq.testmonoid import generate_T
+from test_witness_variants import PATCHES
 
 
 def gens(alg, *labels):
@@ -314,6 +315,73 @@ def test_double_tilde_is_computed_once_per_ids(monkeypatch):
     assert set(vars(alg)) == before
 
 
+def ida_by_definition(alg, policy):
+    """IDA2, IDA3 and IDA5 straight from their definitions, on every pair and join family
+    through the instance's operations with no memo: (status, first witness) per check."""
+    elems, pairs = policy.elements(alg), policy.pairs(alg)
+    t, tt = alg.tilde, alg.tilde_tilde
+    families = [[], *([x] for x in elems), *([x, y] for x, y in pairs), elems]
+    witnesses = {
+        "IDA2.tilde_absorbs_right_closure": (
+            f"x={x!r} y={y!r}" for x, y in pairs if t(alg.mul(x, tt(y))) != t(alg.mul(x, y))),
+        # union_all is handed a generator of closures, as the suite hands it
+        "IDA3.tilde_absorbs_closure_of_joins": (
+            repr(fam[:4]) for fam in families
+            if t(alg.union_all(tt(x) for x in fam)) != t(alg.union_all(fam))),
+        "IDA5.sasaki_shape": (
+            f"x={x!r} y={y!r}" for x, y in pairs
+            if tt(alg.mul(tt(x), y)) != t(alg.union(t(x), t(alg.union(t(x), y))))),
+    }
+    firsts = {name: next(w, None) for name, w in witnesses.items()}
+    return {name: ("pass", "") if w is None else ("fail", w) for name, w in firsts.items()}
+
+
+IDA_CASES = [
+    pytest.param(("boolean", 2), None, None, id="boolean-2"),
+    pytest.param(("mo", 2), None, None, id="mo-2"),
+    pytest.param(("mo", 3), None, None, id="mo-3"),
+    *(pytest.param(("boolean", 2), d, None, id=f"boolean-2-without-{d}") for d in range(4)),
+    *(pytest.param(("mo", 2), d, None, id=f"mo-2-without-{d}") for d in (0, 3, 5, 6, 11, 17)),
+    *(pytest.param((name, 2), None, op, id=f"{name}-2-{op}") for name in ("boolean", "mo")
+      for op in ("mul", "tilde", "tilde_tilde", "union_all")),
+]
+
+
+@pytest.mark.parametrize("key, dropped, op", IDA_CASES)
+def test_ida_memos_match_the_definition(algebra_for, policy, key, dropped, op):
+    # exhaustive boolean(2), sampled mo(2) and mo(3), punctured carriers, and algebras with
+    # one operation patched on the instance: the memoised sweeps give the oracle's reports
+    monoid = algebra_for(*key).monoid
+    alg = DynAlgebra(monoid, None if dropped is None else
+                     tuple(i for i in monoid.ids() if i != dropped))
+    if op is not None:
+        setattr(alg, op, PATCHES[op](getattr(alg, op), alg))
+    report = verify_ida(alg, policy)
+    expected = ida_by_definition(alg, policy)
+    assert {name: (report[name].status, report[name].witness) for name in expected} == expected
+    if op in ("mul", "tilde_tilde", "union_all"):
+        assert "fail" in {status for status, _ in expected.values()}
+
+
+def test_ida_makes_one_product_and_union_per_operand_set():
+    # exhaustive boolean(3), 65,536 pairs: IDA2's right side takes one product per pair;
+    # its left side (per x and closure of y) and IDA5 (per tilde class of x and y) each
+    # take at most |L|·256 = 2,048, and IDA5 two unions per class and y
+    alg = DynAlgebra(generate_T(catalog("boolean", 3)))
+    policy = SamplePolicy()
+    assert policy.is_exhaustive(alg) and len(policy.pairs(alg)) == 65_536
+    calls = {"mul": 0, "union": 0}
+    for op in calls:
+        def counted(*args, op=op, orig=getattr(alg, op)):
+            calls[op] += 1
+            return orig(*args)
+
+        setattr(alg, op, counted)
+    assert verify_ida(alg, policy).ok
+    assert calls["mul"] <= 65_536 + 2 * alg.l.n * 256 == 69_632
+    assert calls["union"] <= 2 * alg.l.n * 256 == 4_096
+
+
 @pytest.fixture(scope="module")
 def boolean3_heap_peaks():
     """tracemalloc peaks of one exhaustive boolean(3) run: verify_ida, then the whole window.
@@ -338,10 +406,11 @@ def boolean3_heap_peaks():
     return ida_peak, max(ida_peak, peak)
 
 
-@pytest.mark.parametrize("key", [("boolean", 3), ("mo", 3)])
+@pytest.mark.parametrize("key", [("boolean", 3), ("mo", 3), ("mo", 4)], ids=lambda key: f"{key[0]}-{key[1]}")
 def test_ida_heap_peak_stays_small(key, request):
-    # join families come one at a time, not as a list (65,536 pairs on boolean(3)), and
-    # the tilde memo keeps no fresh product ids (about 1,750 on the sampled mo(3))
+    # join families come one at a time, not as a list (65,536 pairs on boolean(3)), the
+    # tilde memo keeps no fresh product ids (about 1,750 on the sampled mo(3)), and the
+    # sweeps' memos hold at most one entry per tilde class and partner
     if key == ("boolean", 3):
         peak, _ = request.getfixturevalue("boolean3_heap_peaks")
     else:
