@@ -406,11 +406,12 @@ def boolean3_heap_peaks():
     return ida_peak, max(ida_peak, peak)
 
 
-@pytest.mark.parametrize("key", [("boolean", 3), ("mo", 3), ("mo", 4)], ids=lambda key: f"{key[0]}-{key[1]}")
+@pytest.mark.parametrize("key", [("boolean", 3), ("mo", 3), ("mo", 4)],
+                         ids=lambda key: f"{key[0]}-{key[1]}")
 def test_ida_heap_peak_stays_small(key, request):
     # join families come one at a time, not as a list (65,536 pairs on boolean(3)), the
     # tilde memo keeps no fresh product ids (about 1,750 on the sampled mo(3)), and the
-    # sweeps' memos hold at most one entry per tilde class and partner
+    # sweeps' memos are keyed by tilde images, not by pairs
     if key == ("boolean", 3):
         peak, _ = request.getfixturevalue("boolean3_heap_peaks")
     else:
