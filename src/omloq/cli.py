@@ -247,7 +247,6 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     # 2**threshold subsets are built when the carrier is that small
     parser.add_argument("--exhaustive-threshold", type=_at_least(0, EXHAUSTIVE_THRESHOLD))
     parser.add_argument("--samples", type=_at_least(0), help="random subsets per suite")
-    parser.add_argument("-v", "--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,9 +340,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(envelope, indent=2))
     else:
-        if args.verbose:
-            for key in sorted(data):
-                print(f"# {key}: {data[key]}")
         for line in text:
             print(line)
         print(f"verdict: {_verdict(code)}")

@@ -256,9 +256,10 @@ class _Carrier:
     """A carrier of LinMaps over l, with every table it meets interned to an int id.
 
     The carrier's own base tables come first, so ``id < size`` means membership.
-    A composition or pairwise-join row per id is a dense array over the ``size``
-    carrier columns, built the first time it is read; a column outside the
-    carrier is computed on every read.  A perp is one of the n Sasaki tables.
+    A composition or pairwise-join row per id is a dense array over the ``width``
+    tables interned at construction (carrier, adjoints, Sasaki tables, unit and
+    zero), built the first time it is read; every column a suite reads is one of
+    them.  A perp is one of the n Sasaki tables.
     A joined table is certified by orth_adjoint once per id, and that memo is
     filled only by orth_adjoint, never from the carrier.  Each suite accepts a
     _Carrier in place of its map list, so suites on the same maps share its rows.
@@ -268,7 +269,6 @@ class _Carrier:
         if any(f.l is not l and f.l.names != l.names for f in maps):
             raise ValueError("lattice mismatch in carrier")
         self.l = l
-        self.maps = maps
         self.tab: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
         self.col = [self.intern(f.base.tbl) for f in maps]  # id per position in maps
@@ -277,6 +277,7 @@ class _Carrier:
         self.sas = [self.intern(sasaki_map(l, m).tbl) for m in l.elements()]
         self.e = self.intern(identity_map(l).tbl)
         self.zero = self.intern(zero_map(l).tbl)
+        self.width = len(self.tab)
         self._comp: dict[int, array] = {}
         self._join: dict[int, array] = {}
         self._cert: dict[int, LinMap | NotLinear] = {}
@@ -298,25 +299,24 @@ class _Carrier:
     def _row(self, memo: dict[int, array], op, i: int) -> array:
         cached = memo.get(i)
         if cached is None:
-            cached = memo[i] = array("i", [op(i, j) for j in range(self.size)])
+            cached = memo[i] = array("i", [op(i, j) for j in range(self.width)])
         return cached
 
     def comp_row(self, i: int) -> array:
-        """The ids of tab[i] after each carrier table, in id order."""
+        """The ids of tab[i] after each table interned at construction, in id order."""
         return self._row(self._comp, self._compose, i)
 
     def join_row(self, i: int) -> array:
-        """The ids of the pointwise joins of tab[i] with each carrier table, none certified."""
+        """The ids of tab[i] joined pointwise with each table interned at construction, none certified."""
         return self._row(self._join, self._joined, i)
 
     def comp(self, i: int, j: int) -> int:
         """The id of tab[i] after tab[j]."""
-        return self._row(self._comp, self._compose, i)[j] if j < self.size else self._compose(i, j)
+        return self.comp_row(i)[j]
 
     def join(self, i: int, j: int) -> int:
         """The id of the certified pointwise join of tab[i] and tab[j]."""
-        v = self._row(self._join, self._joined, i)[j] if j < self.size else self._joined(i, j)
-        return self.lin(v)
+        return self.lin(self.join_row(i)[j])
 
     def lin(self, i: int) -> int:
         """i, once orth_adjoint has certified tab[i]; raises _NotInLin if it is not linear."""
@@ -361,8 +361,8 @@ def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
     that took it, with the NotLinear in the witness.
     """
     c = _carrier(l, maps)
-    maps, size, cols, zero = c.maps, c.size, c.col, c.zero
-    r = ValidationReport(title=f"foulis quantale on {len(maps)} maps over {l.name}")
+    size, cols, zero, show = c.size, c.col, c.zero, c.show
+    r = ValidationReport(title=f"foulis quantale on {len(cols)} maps over {l.name}")
     # each carrier map's perp and double perp, read by every check below
     perps = [c.perp(i) for i in cols]
     dperps = [c.perp(p) for p in perps]
@@ -374,7 +374,7 @@ def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
         c.e < size
         and zero < size
         and all(a < size and p < size for a, p in zip(c.adj, perps))
-        and all(v < size for i in range(size) for v in c.comp_row(i))
+        and all(v < size for i in range(size) for v in c.comp_row(i)[:size])
     )
     r.add(
         "carrier.closed",
@@ -386,7 +386,7 @@ def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
 
     # a perp is a Sasaki table taken as its own adjoint, so only idempotence can fail
     r.first("FQ1_O1.self_adjoint_idempotent",
-            (repr(s) for s, p in zip(maps, perps) if c.comp(p, p) != p))
+            (show(i) for i, p in zip(cols, perps) if c.comp(p, p) != p))
 
     r.add("O2.unit_perp_is_zero", c.perp(c.e) == zero)
 
@@ -396,27 +396,27 @@ def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
     else:
         # x is annihilated by s exactly when it lies in the right ideal s-perp . maps;
         # one ideal per distinct perp table, so a wrong perp still shows
-        ideals = {p: set(row) for p, row in zip(perps, prows)}
-        r.first(name, (f"s={s!r} x={x!r}" for s, a, p in zip(maps, c.adj, perps)
+        ideals = {p: set(row[:size]) for p, row in zip(perps, prows)}
+        r.first(name, (f"s={show(s)} x={show(i)}" for s, a, p in zip(cols, c.adj, perps)
                        for ar, ideal in ((c.comp_row(a), ideals[p]),)
-                       for x, i in zip(maps, cols) if (ar[i] == zero) != (i in ideal)))
+                       for i in cols if (ar[i] == zero) != (i in ideal)))
 
     r.first("star.annihilation_iff_below_perp",
-            (f"r={rr!r} t={t!r}" for rr, a, rpr in zip(maps, c.adj, prows) for ar in (c.comp_row(a),)
-             for t, i in zip(maps, cols) if (ar[i] == zero) != (rpr[i] == i)),
+            (f"r={show(j)} t={show(i)}" for j, a, rpr in zip(cols, c.adj, prows) for ar in (c.comp_row(a),)
+             for i in cols if (ar[i] == zero) != (rpr[i] == i)),
             detail="t <= r-perp unfolds to the same fixed-point equation")
 
     r.first("star2.perp_antitone",
-            (f"t={t!r} r={rr!r}" for t, i, tp in zip(maps, cols, perps)
-             for rr, row, rp in zip(maps, rows, perps)
+            (f"t={show(i)} r={show(j)}" for i, tp in zip(cols, perps)
+             for j, row, rp in zip(cols, rows, perps)
              if row[i] == i and c.comp(tp, rp) != rp))
 
     r.first("star2.double_perp_fixes_tests",
-            (c.show(k) for k, kk in zip(perps, dperps) if c.perp(kk) != k))
+            (show(k) for k, kk in zip(perps, dperps) if c.perp(kk) != k))
 
     r.first("star3.perp_exchange",
-            (f"t={t!r} r={rr!r}" for t, i, tpr in zip(maps, cols, prows)
-             for rr, j, rpr in zip(maps, cols, prows)
+            (f"t={show(i)} r={show(j)}" for i, tpr in zip(cols, prows)
+             for j, rpr in zip(cols, prows)
              if (rpr[i] == i) != (tpr[j] == j)))
 
     r.add(
@@ -427,27 +427,24 @@ def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
         and c.perp(c.perp(zero)) == zero,
     )
 
-    # a double perp is a Sasaki table, so its column may lie outside the carrier
     r.first("lemma.item2_perp_absorbs_closure",
-            (f"x={x!r} y={y!r}" for x, i, row in zip(maps, cols, rows)
-             for y, j, ypp in zip(maps, cols, dperps)
-             if c.perp(row[ypp] if ypp < size else c.comp(i, ypp)) != c.perp(row[j])))
+            (f"x={show(i)} y={show(j)}" for i, row in zip(cols, rows)
+             for j, ypp in zip(cols, dperps)
+             if c.perp(row[ypp]) != c.perp(row[j])))
 
     r.first("lemma.item3_join_of_closures", _in_lin(chain(
-        (f"x={x!r}" for x, xp, xpp in zip(maps, perps, dperps) if c.perp(c.lin(xpp)) != xp),
-        (f"x={x!r} y={y!r}" for x, i, xpp in zip(maps, cols, dperps)
+        (f"x={show(i)}" for i, xp, xpp in zip(cols, perps, dperps) if c.perp(c.lin(xpp)) != xp),
+        (f"x={show(i)} y={show(j)}" for i, xpp in zip(cols, dperps)
          for xr, ir in ((c.join_row(xpp), c.join_row(i)),)
-         for y, j, ypp in zip(maps, cols, dperps)
-         if c.perp(c.lin(xr[ypp]) if ypp < size else c.join(xpp, ypp)) != c.perp(c.lin(ir[j]))),
+         for j, ypp in zip(cols, dperps)
+         if c.perp(c.lin(xr[ypp])) != c.perp(c.lin(ir[j]))),
     )), detail="families: singletons and pairs")
 
-    # the outer join's column is a Sasaki table too
     r.first("lemma.item4_sasaki_identity", _in_lin(
-        f"x={x!r} y={y!r}" for x, xp, xpp in zip(maps, perps, dperps)
+        f"x={show(i)} y={show(j)}" for i, xp, xpp in zip(cols, perps, dperps)
         for cr, jr in ((c.comp_row(xpp), c.join_row(xp)),)
-        for y, j in zip(maps, cols)
-        if c.perp(c.perp(cr[j])) != c.perp(c.lin(jr[k]) if (k := c.perp(c.lin(jr[j]))) < size
-                                            else c.join(xp, k))
+        for j in cols
+        if c.perp(c.perp(cr[j])) != c.perp(c.lin(jr[c.perp(c.lin(jr[j]))]))
     ))
 
     return r
@@ -456,14 +453,13 @@ def verify_foulis(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
 def verify_left_module_on_M(l: Oml, maps: list[LinMap] | _Carrier) -> ValidationReport:
     """Check that f . x = f(x) makes the lattice a left module over the maps."""
     c = _carrier(l, maps)
-    maps = c.maps
+    tab, show = c.tab, c.show
     r = ValidationReport(title=f"left module action on {l.name}")
-    cols = list(zip(maps, c.col))
 
     # each table is read against the suite's lattice, as A2 and A3 read it
     a1 = r.first("A1.action_preserves_joins_of_elements",
-                 (f"{f!r} at {','.join(l.names[x] for x in where) or 'empty join'}" for f in maps
-                  if (where := join_preservation_witness(EndoMap(l, f.base.tbl))) is not None))
+                 (f"{show(i)} at {','.join(l.names[x] for x in where) or 'empty join'}" for i in c.col
+                  if (where := join_preservation_witness(EndoMap(l, tab[i]))) is not None))
 
     # A2 and A3 compare whole tables, and walk x only for the witness
     # the pointwise join of maps that break a join need not be in the carrier
@@ -474,17 +470,17 @@ def verify_left_module_on_M(l: Oml, maps: list[LinMap] | _Carrier) -> Validation
         # c.lin(z) sits below the outermost loop, so the zero map is certified inside
         # _in_lin and a zero map outside Lin(l) is a witness, not an escaping _NotInLin
         r.first(name, _in_lin(chain(
-            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols
-             for row, fj in ((c.join_row(i), [l.join[v] for v in f.base.tbl]),) for g, j in cols
-             if (got := c.tab[c.lin(row[j])]) != (want := tuple(map(getitem, fj, g.base.tbl)))
+            (f"{show(i)},{show(j)} at {l.names[x]}" for i in c.col
+             for row, fj in ((c.join_row(i), [l.join[v] for v in tab[i]]),) for j in c.col
+             if (got := tab[c.lin(row[j])]) != (want := tuple(map(getitem, fj, tab[j])))
              for x in l.elements() if got[x] != want[x]),
             (f"empty join at {l.names[x]}" for z in (c.zero,)
-             for x, v in enumerate(c.tab[c.lin(z)]) if v != l.bot),
+             for x, v in enumerate(tab[c.lin(z)]) if v != l.bot),
         )))
 
     r.first("A3.composition_associates_with_action",
-            (f"{f!r},{g!r} at {l.names[x]}" for f, i in cols for row in (c.comp_row(i),) for g, j in cols
-             if (got := c.tab[row[j]]) != (want := tuple(map(f.base.tbl.__getitem__, g.base.tbl)))
+            (f"{show(i)},{show(j)} at {l.names[x]}" for i in c.col for row in (c.comp_row(i),) for j in c.col
+             if (got := tab[row[j]]) != (want := tuple(map(tab[i].__getitem__, tab[j])))
              for x in l.elements() if got[x] != want[x]))
 
     ident = identity_map(l)

@@ -369,7 +369,10 @@ def test_zero_map_outside_lin_fails_a2_on_an_empty_carrier():
 
 
 def lin_variants(l):
-    """Nine carriers over l: the enumerated one, six cut or altered copies and three halves."""
+    """Ten carriers over l: the enumerated one, six cut or altered copies and three halves.
+
+    ``unit_and_zero`` is closed, yet on B2 and MO1 some Sasaki tables lie outside it.
+    """
     maps = enumerate_lin(l)
     k = len(maps)
     out = {
@@ -379,6 +382,7 @@ def lin_variants(l):
         "minus_middle": maps[: k // 2] + maps[k // 2 + 1:],
         "shifted_adjoints": [LinMap(f.base, maps[(i + 1) % k].adj) for i, f in enumerate(maps)],
         "reversed": maps[::-1],
+        "unit_and_zero": [f for f in maps if f.base.tbl in (zero_map(l).tbl, identity_map(l).tbl)],
     }
     for seed in (1, 2, 3):
         out[f"half_{seed}"] = random.Random(seed).sample(maps, k // 2)
@@ -397,7 +401,7 @@ def shared_carrier_reports(l, maps):
 
 
 def lin_variant_reports(suites=per_suite_reports):
-    """The three Lin suites' reports on nine carriers each of Lin(chain2), Lin(B2), Lin(MO1)."""
+    """The three Lin suites' reports on ten carriers each of Lin(chain2), Lin(B2), Lin(MO1)."""
     out = {}
     for l in (catalog("chain2"), catalog("boolean", 2), catalog("mo", 1)):
         for name, maps in lin_variants(l).items():
@@ -414,7 +418,7 @@ def test_lin_variants_match_golden():
 def test_shared_carrier_matches_golden():
     with open(LIN_VARIANTS, encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert len(golden) == 27
+    assert len(golden) == 30
     assert any(r["verdict"] == "fail" for reports in golden.values() for r in reports)
     assert lin_variant_reports(shared_carrier_reports) == golden
 
@@ -482,7 +486,7 @@ def test_carrier_tables_match_the_per_call_operations():
             i, j = c.ids[f.base.tbl], c.ids[g.base.tbl]
             assert c.tab[c.comp(i, j)] == compose(f, g).base.tbl
             assert c.tab[c.join(i, j)] == pointwise_join(l, [f, g]).base.tbl
-            # perps lie outside a carrier that is not closed: those columns are computed directly
+            # perps lie outside a carrier that is not closed; every row still spans their columns
             p = c.perp(j)
             assert c.tab[c.comp(i, p)] == compose(f, foulis_perp(g)).base.tbl
             assert c.tab[c.join(i, p)] == pointwise_join(l, [f, foulis_perp(g)]).base.tbl
