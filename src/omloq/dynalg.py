@@ -82,7 +82,6 @@ class DynAlgebra:
         self.l = monoid.l
         self.carrier = tuple(sorted(carrier)) if carrier is not None else tuple(monoid.ids())
         self._cache: dict = {}
-        self._actions: dict[tuple[int, ...], tuple[int, ...]] = {}  # action table per element
         self._top = tuple(e.tbl[self.l.top] for e in monoid.elems)  # x(top) per monoid id
         self._singles = tuple(DynElem(self, (i,)) for i in monoid.ids())  # one per monoid id
         self._tests = tuple(self._singles[g] for g in monoid.gen_id)  # delta(m) per m
@@ -159,19 +158,25 @@ class DynAlgebra:
         return m
 
     def action_table(self, k: DynElem) -> tuple[int, ...]:
-        """k's action on every test, built once per id set and kept for the algebra's life.
+        """k's action on every test, indexed by test, recomputed on every call."""
+        return tuple(self.action(k, v) for v in self.l.elements())
 
-        The memo is not bounded by the sample: it also keeps the fresh unions and
-        products that A2, A3 and the congruence check act on (after verify_module
-        on mo(3), 1,891 entries against 268 sampled elements).
+    def action_tables(self):
+        """``action_table`` memoised by ids over every id set it meets, as bytes.
+
+        A table's entries are tests, below MAX_ELEMENTS (64), so a byte holds each.
+        The memo lives as long as the returned function: a suite makes one per call,
+        so the algebra itself keeps no table.
         """
-        if k.ids not in self._actions:
-            self._actions[k.ids] = tuple(self.action(k, v) for v in self.l.elements())
-        return self._actions[k.ids]
+        memo: dict[tuple[int, ...], bytes] = {}
 
-    def equiv(self, s: DynElem, t: DynElem) -> bool:
-        """True when s and t act identically on every test."""
-        return self.action_table(s) == self.action_table(t)
+        def act(k: DynElem) -> bytes:
+            table = memo.get(k.ids)
+            if table is None:
+                table = memo[k.ids] = bytes(self.action_table(k))
+            return table
+
+        return act
 
     # -- the test lattice ------------------------------------------------
 
@@ -501,17 +506,23 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
 
     r.first("TODA3.joins_of_tests_injective", shared_joins())
 
+    # each singleton's table once, then compared pairwise
+    acting = [(a, alg.action_table(alg.singleton(a))) for a in alg.carrier]
     r.first("TODA4.actions_separate_tests", (
         f"{alg.singleton(a)!r} and {alg.singleton(b)!r} act identically"
-        for i, a in enumerate(alg.carrier) for b in alg.carrier[i + 1 :]
-        if alg.equiv(alg.singleton(a), alg.singleton(b))))
+        for i, (a, table) in enumerate(acting) for b, other in acting[i + 1 :]
+        if table == other))
 
     return r
 
 
 def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> ValidationReport:
     """Left-module laws of the action on tests, plus the homomorphism facts
-    about double tilde and the congruence property of the action kernel."""
+    about double tilde and the congruence property of the action kernel.
+
+    Each id set's action table is built once: the instance's own ``action_table``,
+    memoised by ids for this call only, so the algebra keeps none of them.
+    """
     policy = policy or SamplePolicy()
     r = ValidationReport(title=f"module action on tests of P(T({alg.l.name}))")
     l = alg.l
@@ -524,7 +535,7 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
         r.add("precondition.test_lattice", False, "test lattice extraction failed")
         return r
 
-    act = alg.action_table
+    act = alg.action_tables()
 
     def broken_joins():
         for k in elems:
@@ -538,12 +549,13 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
 
     r.first("A2.joins_act_pointwise", (
         f"family size {len(fam)} at {l.names[v]}" for fam in _join_families(elems, pairs)
-        for total in (act(alg.union_all(fam)),) for v in tests
-        if total[v] != tk.join_all(act(t)[v] for t in fam)))
+        for total, parts in ((act(alg.union_all(fam)), [act(t) for t in fam]),) for v in tests
+        if total[v] != tk.join_all(part[v] for part in parts)))
 
     r.first("A3.product_acts_by_composition", (
         f"u={u!r} s={s!r} v={l.names[v]}" for u, s in pairs
-        for us in (act(alg.mul(u, s)),) for v in tests if us[v] != act(u)[act(s)[v]]))
+        for us, on_u, on_s in ((act(alg.mul(u, s)), act(u), act(s)),) for v in tests
+        if us[v] != on_u[on_s[v]]))
 
     r.first("A4.unit_acts_as_identity", (l.names[v] for v in tests if act(alg.unit)[v] != v))
 
@@ -572,7 +584,7 @@ def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Valida
         (f"{kind} congruence at u={u!r} v={v!r} s={s!r} t={t!r}"
          for u, v in eq_pairs for s, t in eq_pairs[:10]
          for kind, op in (("product", alg.mul), ("join", alg.union))
-         if not alg.equiv(op(u, s), op(v, t))),
+         if act(op(u, s)) != act(op(v, t))),
         detail=f"{len(eq_pairs)} equivalent pairs exercised",
     )
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -141,12 +142,17 @@ def test_action_on_all_corpus_matches_projection(algebra_for):
                 assert alg.action(alg.delta(u), v) == sasaki_projection(l, u, v)
 
 
+def equiv(alg, s, t):
+    """s and t act identically on every test."""
+    return alg.action_table(s) == alg.action_table(t)
+
+
 def test_equiv_examples(algebra_for):
     alg = algebra_for("mo", 2)
     l = alg.l
     pa, pb = gens(alg, "a", "b")
-    assert alg.equiv(pa, pa)
-    assert not alg.equiv(pa, pb)
+    assert equiv(alg, pa, pa)
+    assert not equiv(alg, pa, pb)
     # witness at the top test: actions differ there
     assert alg.action(pa, l.top) != alg.action(pb, l.top)
 
@@ -160,14 +166,14 @@ def test_equiv_vs_double_tilde():
     for r in range(2, len(alg_b2.carrier) + 1):
         for ids in itertools.combinations(alg_b2.carrier, r):
             a = alg_b2.elem(ids)
-            assert alg_b2.equiv(a, alg_b2.tilde_tilde(a))
+            assert equiv(alg_b2, a, alg_b2.tilde_tilde(a))
 
     alg = DynAlgebra(generate_T(catalog("mo", 2)))
     found = None
     for r in range(2, 4):
         for ids in itertools.combinations(alg.carrier, r):
             a = alg.elem(ids)
-            if not alg.equiv(a, alg.tilde_tilde(a)):
+            if not equiv(alg, a, alg.tilde_tilde(a)):
                 found = a
                 break
         if found:
@@ -293,6 +299,43 @@ def test_each_action_is_computed_once(monkeypatch):
     monkeypatch.setattr(DynAlgebra, "action", counted)
     assert verify_module(alg).ok
     assert len(calls) == len(set(calls))
+
+
+def test_module_suite_leaves_no_action_tables():
+    # the suite memoises action tables for its call only; kept on the algebra, the tables
+    # of mo(3)'s sample and of the suite's fresh unions and products take about 625 KiB
+    alg = DynAlgebra(generate_T(catalog("mo", 3)))
+    policy = SamplePolicy()
+    policy.elements(alg)  # the pairs are streamed from it, so nothing else is cached
+    alg.test_lattice()
+    alg.monoid.cayley
+    before = set(vars(alg))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        assert verify_module(alg, policy).ok
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 << 10
+    assert set(vars(alg)) == before
+
+
+def test_toda_acts_once_per_singleton_and_test(monkeypatch):
+    # TODA4 compares each singleton's table with every later one's, and builds each once
+    alg = DynAlgebra(generate_T(catalog("mo", 4)))
+    calls = []
+    action = DynAlgebra.action
+
+    def counted(self, k, v):
+        calls.append((k.ids, v))
+        return action(self, k, v)
+
+    monkeypatch.setattr(DynAlgebra, "action", counted)
+    assert verify_toda(alg).ok
+    assert len(calls) == len(alg.carrier) * alg.l.n == 660
 
 
 def test_double_tilde_is_computed_once_per_ids(monkeypatch):
