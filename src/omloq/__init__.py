@@ -14,7 +14,7 @@ _EXPORTS = {
     "load_lattice parse_lattice parse_lattice_json sasaki_hook sasaki_projection validate_oml",
     "linmap": "EndoMap LinMap NotLinear bruteforce_lin compose enumerate_lin foulis_perp order_adjoint "
     "orth_adjoint pointwise_join sasaki_projection_lattice verify_foulis verify_left_module_on_M",
-    "testmonoid": "InvMonoid MonoidElem generate_T mono_star",
+    "testmonoid": "InvMonoid MonoidElem generate_T",
     "dynalg": "DynAlgebra DynElem SamplePolicy verify_ida verify_module verify_toda",
     "equivalence": "DynMorphism TodaHandle check_naturality_lambda check_naturality_mu gamma_morphism "
     "gamma_object lambda_component psi_morphism psi_object round_trip_report "

@@ -33,7 +33,14 @@ from .oml import (
     validate_oml,
 )
 from .report import ValidationReport
-from .testmonoid import DEFAULT_MONOID_CAP, DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, export_cayley_csv, generate_T
+from .testmonoid import (
+    DEFAULT_MONOID_CAP,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    EXHAUSTIVE_THRESHOLD,
+    export_cayley_csv,
+    generate_T,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_global_flags(parser)
     parser.set_defaults(seed=DEFAULT_SEED, lin_cap=DEFAULT_LIN_CAP, monoid_cap=DEFAULT_MONOID_CAP,
-                        exhaustive_threshold=EXHAUSTIVE_THRESHOLD, samples=200)
+                        exhaustive_threshold=EXHAUSTIVE_THRESHOLD, samples=DEFAULT_SAMPLES)
     # global flags are accepted both before and after the subcommand; the
     # per-subcommand copies default to SUPPRESS so they never clobber values
     # given up front

@@ -16,7 +16,7 @@ from itertools import islice, product
 
 from .oml import Oml, OrthoIso, check_ortho_iso, oml_from_tables, validate_oml
 from .report import ValidationReport
-from .testmonoid import DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, InvMonoid, mono_star
+from .testmonoid import DEFAULT_SAMPLES, DEFAULT_SEED, EXHAUSTIVE_THRESHOLD, InvMonoid
 
 PAIR_PARTNERS = 4  # seeded partners per sampled element in two-variable axioms
 ACTION_PAIR_CAP = 4000  # pairs kept for the action-heavy checks
@@ -125,7 +125,8 @@ class DynAlgebra:
         return DynElem(self, tuple(sorted({rows[x][y] for x in a.ids for y in b.ids})))
 
     def star(self, a: DynElem) -> DynElem:
-        return self.elem(mono_star(self.monoid, x) for x in a.ids)
+        star = self.monoid.star
+        return self.elem(star[x] for x in a.ids)
 
     def tilde(self, a: DynElem) -> DynElem:
         """The singleton at pi of the orthocomplement of join of a(top) values."""
@@ -271,20 +272,16 @@ class SamplePolicy:
     """
 
     seed: int = DEFAULT_SEED
-    n_random: int = 200
+    n_random: int = DEFAULT_SAMPLES
     exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD
 
     def is_exhaustive(self, alg: DynAlgebra) -> bool:
         return len(alg.carrier) <= self.exhaustive_threshold
 
-    def _cached(self, alg: DynAlgebra, kind: str, build):
-        key = (kind, self)
-        if key not in alg._cache:
-            alg._cache[key] = build()
-        return alg._cache[key]
-
     def elements(self, alg: DynAlgebra) -> list[DynElem]:
-        return self._cached(alg, "elements", lambda: self._build_elements(alg))
+        if self not in alg._cache:
+            alg._cache[self] = self._build_elements(alg)
+        return alg._cache[self]
 
     def _build_elements(self, alg: DynAlgebra) -> list[DynElem]:
         carrier = alg.carrier
@@ -394,14 +391,13 @@ def _per_suite(f, elems):
 # axiom suites
 
 
-def verify_ida(alg: DynAlgebra, policy: SamplePolicy | None = None) -> ValidationReport:
+def verify_ida(alg: DynAlgebra, policy: SamplePolicy = SamplePolicy()) -> ValidationReport:
     """The four tilde axioms of the dynamic algebra, over the policy sample.
 
     Every pair is still covered, and each half of a check that depends on an operand
     only through a tilde image is evaluated once per distinct operand set: memos keyed
     by the ids passed to the instance's own operations, kept for this call only.
     """
-    policy = policy or SamplePolicy()
     mode = "exhaustive" if policy.is_exhaustive(alg) else f"sampled(seed={policy.seed})"
     r = ValidationReport(title=f"ida axioms on P(T({alg.l.name})) [{mode}]")
     pairs = policy.pairs(alg)
@@ -459,10 +455,9 @@ def verify_ida(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validatio
     return r
 
 
-def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> ValidationReport:
+def verify_toda(alg: DynAlgebra, policy: SamplePolicy = SamplePolicy()) -> ValidationReport:
     """The four carrier axioms: test lattice, minimality, join injectivity,
     and separation of monoid elements by their actions."""
-    policy = policy or SamplePolicy()
     r = ValidationReport(title=f"toda axioms on P(T({alg.l.name}))")
 
     _, _, tl_report = alg.test_lattice()
@@ -476,7 +471,7 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
         yield from (f"generator pi({alg.l.names[m]}) outside carrier" for m in alg.l.elements()
                     if mono.gen_id[m] not in carrier)
         for a in alg.carrier:
-            if mono_star(mono, a) not in carrier:
+            if mono.star[a] not in carrier:
                 yield f"star of {a} escapes carrier"
             row = mono.cayley[a]
             yield from (f"product {a}*{b} escapes carrier" for b in alg.carrier
@@ -516,14 +511,13 @@ def verify_toda(alg: DynAlgebra, policy: SamplePolicy | None = None) -> Validati
     return r
 
 
-def verify_module(alg: DynAlgebra, policy: SamplePolicy | None = None) -> ValidationReport:
+def verify_module(alg: DynAlgebra, policy: SamplePolicy = SamplePolicy()) -> ValidationReport:
     """Left-module laws of the action on tests, plus the homomorphism facts
     about double tilde and the congruence property of the action kernel.
 
     Each id set's action table is built once: the instance's own ``action_table``,
     memoised by ids for this call only, so the algebra keeps none of them.
     """
-    policy = policy or SamplePolicy()
     r = ValidationReport(title=f"module action on tests of P(T({alg.l.name}))")
     l = alg.l
     tests = list(l.elements())

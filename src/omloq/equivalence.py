@@ -17,7 +17,7 @@ from .dynalg import DynAlgebra, DynElem, SamplePolicy, _per_suite, verify_ida, v
 from .errors import SuiteFailure
 from .oml import Oml, OrthoIso, check_ortho_iso, identity_iso
 from .report import ValidationReport
-from .testmonoid import DEFAULT_MONOID_CAP, InvMonoid, generate_T, mono_star
+from .testmonoid import DEFAULT_MONOID_CAP, InvMonoid, generate_T
 
 
 @dataclass
@@ -41,7 +41,7 @@ class TodaHandle:
 
 def gamma_object(
     m: Oml,
-    policy: SamplePolicy | None = None,
+    policy: SamplePolicy = SamplePolicy(),
     monoid_cap: int = DEFAULT_MONOID_CAP,
     require: bool = True,
 ) -> TodaHandle:
@@ -51,7 +51,6 @@ def gamma_object(
     failure raises SuiteFailure since it would falsify the construction on
     this instance.
     """
-    policy = policy or SamplePolicy()
     monoid = generate_T(m, cap=monoid_cap)
     alg = DynAlgebra(monoid)
     test_oml, delta, tl_report = alg.test_lattice()
@@ -97,18 +96,17 @@ def _monoid_laws(r: ValidationReport, em, src: InvMonoid, dst: InvMonoid, show) 
     r.first("product_preserved", (f"{show(a)},{show(b)}" for a in src.ids() for b in src.ids()
                                   if em[rows[a][b]] != dst_rows[em[a]][em[b]]))
     r.first("star_preserved", (show(a) for a in src.ids()
-                               if em[mono_star(src, a)] != mono_star(dst, em[a])))
+                               if em[src.star[a]] != dst.star[em[a]]))
 
 
 def verify_dyn_morphism(
-    phi: DynMorphism, policy: SamplePolicy | None = None
+    phi: DynMorphism, policy: SamplePolicy = SamplePolicy()
 ) -> ValidationReport:
     """Bijectivity plus preservation of union, product, star, tilde, unit.
 
     Products and stars are decided on the monoid's ids; unions and tildes
     are swept over the policy sample.
     """
-    policy = policy or SamplePolicy()
     r = ValidationReport(title=f"dyn morphism {phi.name}")
     src_alg, dst_alg = phi.src.alg, phi.dst.alg
 
@@ -133,7 +131,7 @@ def gamma_morphism(
     k: OrthoIso,
     src: TodaHandle,
     dst: TodaHandle,
-    policy: SamplePolicy | None = None,
+    policy: SamplePolicy = SamplePolicy(),
 ) -> DynMorphism:
     """Transport a lattice isomorphism to the algebras by conjugation.
 
@@ -167,13 +165,7 @@ def gamma_morphism(
 def psi_morphism(phi: DynMorphism) -> OrthoIso:
     """Restrict an algebra morphism to tests, re-indexed through delta."""
     src, dst = phi.src, phi.dst
-    tbl = []
-    for m in src.oml.elements():
-        image_id = phi.elem_map[src.monoid.gen_id[m]]
-        m2 = dst.monoid.tbl(image_id)[dst.oml.top]
-        if dst.monoid.gen_id[m2] != image_id:
-            raise AssertionError(f"restriction escapes the tests at {src.oml.names[m]}")
-        tbl.append(m2)
+    tbl = [dst.alg._test_index(dst.alg.singleton(phi.elem_map[g])) for g in src.monoid.gen_id]
     iso = OrthoIso(src.test_oml, dst.test_oml, tuple(tbl), name=f"psi({phi.name})")
     rep = check_ortho_iso(iso)
     if not rep.ok:
@@ -222,7 +214,7 @@ def _nu_report(h: TodaHandle, target: TodaHandle, nu: tuple[int, ...]) -> Valida
 
 
 def lambda_component(
-    h: TodaHandle, target: TodaHandle, policy: SamplePolicy | None = None
+    h: TodaHandle, target: TodaHandle, policy: SamplePolicy = SamplePolicy()
 ) -> tuple[DynMorphism, ValidationReport]:
     """The atom-wise nu image, as a morphism from the algebra to its rebuild.
 
@@ -230,7 +222,6 @@ def lambda_component(
     through the atom decomposition (scanning the carrier for inclusion),
     then as a full algebra morphism on the policy sample.
     """
-    policy = policy or SamplePolicy()
     r = ValidationReport(title=f"lambda on P(T({h.oml.name}))")
     nu = nu_table(h, target)
     r.extend(_nu_report(h, target, nu), prefix="nu.")
@@ -248,7 +239,7 @@ def lambda_component(
 
 
 def check_naturality_mu(
-    k: OrthoIso, src: TodaHandle, dst: TodaHandle, policy: SamplePolicy | None = None
+    k: OrthoIso, src: TodaHandle, dst: TodaHandle, policy: SamplePolicy = SamplePolicy()
 ) -> ValidationReport:
     """Both paths around the mu square, evaluated at every source element."""
     return _mu_report(k, gamma_morphism(k, src, dst, policy))
@@ -273,10 +264,9 @@ def check_naturality_lambda(
     phi: DynMorphism,
     lam_src: DynMorphism,
     lam_dst: DynMorphism,
-    policy: SamplePolicy | None = None,
+    policy: SamplePolicy = SamplePolicy(),
 ) -> ValidationReport:
     """The lambda square on atoms, small unions, and the policy sample."""
-    policy = policy or SamplePolicy()
     r = ValidationReport(title=f"lambda naturality for {phi.name}")
     gpsi = gamma_morphism(psi_morphism(phi), lam_src.dst, lam_dst.dst, policy)
 
@@ -298,14 +288,13 @@ def check_naturality_lambda(
 # transported-operation (h map) checks
 
 
-def verify_h_map(h: TodaHandle, policy: SamplePolicy | None = None) -> ValidationReport:
+def verify_h_map(h: TodaHandle, policy: SamplePolicy = SamplePolicy()) -> ValidationReport:
     """The atom decomposition is a bijection intertwining all five operations.
 
     Elements are compared against their transported images, where each
     transported operation rejoins the atom sets, applies the original
     operation, and decomposes again.
     """
-    policy = policy or SamplePolicy()
     alg = h.alg
     r = ValidationReport(title=f"h map on P(T({h.oml.name}))")
     elems = policy.elements(alg)
@@ -342,7 +331,7 @@ def verify_h_map(h: TodaHandle, policy: SamplePolicy | None = None) -> Validatio
 def round_trip_report(
     m: Oml,
     morphisms: list[OrthoIso] | None = None,
-    policy: SamplePolicy | None = None,
+    policy: SamplePolicy = SamplePolicy(),
     monoid_cap: int = DEFAULT_MONOID_CAP,
 ) -> ValidationReport:
     """The full equivalence verdict for one lattice.
@@ -352,7 +341,6 @@ def round_trip_report(
     isomorphism, the combined three-way isomorphism, and, for each supplied
     lattice isomorphism out of m, both naturality squares plus functor laws.
     """
-    policy = policy or SamplePolicy()
     report = ValidationReport(title=f"equivalence round trip on {m.name}")
 
     h = gamma_object(m, policy, monoid_cap=monoid_cap, require=False)

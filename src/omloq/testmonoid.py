@@ -20,6 +20,7 @@ from .oml import Oml, validate_oml
 DEFAULT_MONOID_CAP = 100_000
 # the sampling defaults of the dynamic-algebra suites over the powerset of T
 DEFAULT_SEED = 3405691582
+DEFAULT_SAMPLES = 200
 EXHAUSTIVE_THRESHOLD = 12
 
 
@@ -28,7 +29,6 @@ class MonoidElem:
     id: int
     tbl: tuple[int, ...]
     witness: tuple[int, ...]  # lattice elements m1..mj, meaning pi_m1 . ... . pi_mj
-    star_id: int
 
     def __repr__(self) -> str:
         return f"T{self.id}<{'.'.join(map(str, self.witness))}>"
@@ -45,6 +45,7 @@ class InvMonoid:
     elems: list[MonoidElem]
     gen_id: tuple[int, ...]  # lattice element m -> id of pi_m
     unit_id: int
+    star: tuple[int, ...]  # id -> id of its involution
     _by_tbl: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
 
     @property
@@ -53,9 +54,6 @@ class InvMonoid:
 
     def ids(self) -> range:
         return range(len(self.elems))
-
-    def tbl(self, a: int) -> tuple[int, ...]:
-        return self.elems[a].tbl
 
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
@@ -71,10 +69,6 @@ class InvMonoid:
 
     def label(self, a: int) -> str:
         return "pi(" + ")pi(".join(self.l.names[m] for m in self.elems[a].witness) + ")"
-
-
-def mono_star(m: InvMonoid, a: int) -> int:
-    return m.elems[a].star_id
 
 
 def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
@@ -102,7 +96,7 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
             raise SizeExceeded(len(elems) + 1, cap, what="monoid elements")
         eid = len(elems)
         by_tbl[tbl] = eid
-        elems.append(MonoidElem(eid, tbl, word, star_id=-1))
+        elems.append(MonoidElem(eid, tbl, word))
         return eid
 
     gen_id = []
@@ -133,25 +127,26 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
     if unit_tbl not in by_tbl:
         raise AssertionError("identity map missing from closure")
 
+    star = []
     for e in elems:
         # pi_m1 . ... . pi_mj reversed is pi_mj . ... . pi_m1: apply pi_m1 first
         tbl = unit_tbl
         for m in e.witness:
             g = gen_tbls[m]
             tbl = tuple(g[tbl[x]] for x in l.elements())
-        star_id = by_tbl.get(tbl)
-        if star_id is None:
+        if tbl not in by_tbl:
             raise AssertionError("reverse word escapes the closure")
         adj = orth_adjoint(EndoMap(l, e.tbl))
         if not isinstance(adj, LinMap) or adj.adj.tbl != tbl:
             raise AssertionError(f"word reversal disagrees with the adjoint for {e!r}")
-        object.__setattr__(e, "star_id", star_id)
+        star.append(by_tbl[tbl])
 
     return InvMonoid(
         l=l,
         elems=elems,
         gen_id=tuple(gen_id),
         unit_id=by_tbl[unit_tbl],
+        star=tuple(star),
         _by_tbl=by_tbl,
     )
 

@@ -245,6 +245,13 @@ def test_cli_loads_no_dynamic_algebra_layer():
     assert not loaded & {"omloq.dynalg", "omloq.equivalence", "omloq.hilbert3"}
 
 
+def test_samples_default_is_the_policy_default():
+    from omloq.cli import build_parser
+    from omloq.dynalg import SamplePolicy
+
+    assert build_parser().parse_args(["toda", "f"]).samples == SamplePolicy().n_random
+
+
 def test_package_exports_resolve_on_first_access():
     import omloq
     import omloq.dynalg

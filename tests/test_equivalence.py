@@ -141,6 +141,18 @@ def test_psi_morphism_examples(handles, pol):
     assert check_ortho_iso(back).ok
 
 
+def test_psi_morphism_rejects_a_non_projection_image(handles):
+    # psi reads each test index through the algebra's own test check, so a bijection
+    # that sends pi_a to a product that is no projection fails there
+    h, _ = handles("mo", 2)
+    ga = h.monoid.gen_id[h.oml.index("a")]
+    other = next(i for i in h.monoid.ids() if i not in h.monoid.gen_id)
+    elem_map = list(h.monoid.ids())
+    elem_map[ga], elem_map[other] = other, ga
+    with pytest.raises(AssertionError, match="is not a projection singleton"):
+        psi_morphism(DynMorphism(h, h, tuple(elem_map), name="swap_a"))
+
+
 def test_mu_naturality(handles, pol):
     hb, _ = handles("boolean", 2)
     rep = check_naturality_mu(identity_iso(hb.oml), hb, hb, pol)
