@@ -24,6 +24,8 @@ SCHEMA = os.path.join(
     os.path.dirname(__file__), "..", "src", "omloq", "schemas", "report.schema.json"
 )
 SWAP = "iso 0 0\niso a b\niso b a\niso a' b'\niso b' a'\niso 1 1\n"
+# a -> b -> c -> a on mo(3), the primes following
+CYCLE = "iso 0 0\niso a b\niso a' b'\niso b c\niso b' c'\niso c a\niso c' a'\niso 1 1\n"
 
 # golden file name -> argv, with {name} standing for the written input file
 CASES = {
@@ -31,6 +33,7 @@ CASES = {
     "toda_boolean2": ["toda", "{boolean2}"],
     "toda_boolean3": ["toda", "{boolean3}"],
     "equiv_mo2_swap": ["equiv", "{mo2}", "{swap}"],
+    "equiv_mo3_cycle": ["equiv", "{mo3}", "{cycle}"],
     "linmaps_boolean2": ["linmaps", "{boolean2}"],
     "linmaps_mo2": ["linmaps", "{mo2}"],
     "tmonoid_mo2": ["tmonoid", "{mo2}"],
@@ -60,13 +63,14 @@ def report_of(tmp_path_factory):
     """Each case's --json output at the default seed, run once and shared by the tests."""
     tmp_path = tmp_path_factory.mktemp("inputs")
     inputs = {}
-    for name, k in (("mo", 2), ("boolean", 2), ("boolean", 3), ("o6", 0)):
+    for name, k in (("mo", 2), ("mo", 3), ("boolean", 2), ("boolean", 3), ("o6", 0)):
         path = tmp_path / f"{name}{k or ''}.lat"
         path.write_text(format_lattice(catalog(name, k)))
         inputs[f"{name}{k or ''}"] = str(path)
-    swap = tmp_path / "swap.iso"
-    swap.write_text(SWAP)
-    inputs["swap"] = str(swap)
+    for name, text in (("swap", SWAP), ("cycle", CYCLE)):
+        path = tmp_path / f"{name}.iso"
+        path.write_text(text)
+        inputs[name] = str(path)
     cache = {}
 
     def get(case):
