@@ -98,26 +98,18 @@ def span(*vectors) -> RatSubspace:
     return RatSubspace(tuple(_rref(rows)))
 
 
-def nullspace(rows: tuple[Vec, ...]) -> RatSubspace:
-    """Integer basis of {x : row . x = 0 for every row}."""
-    reduced = _rref(list(rows))
-    pivots = []
-    for row in reduced:
-        pivots.append(next(i for i, v in enumerate(row) if v != 0))
-    free = [i for i in range(3) if i not in pivots]
-    basis = []
-    for f in free:
-        coords = [Fraction(0)] * 3
-        coords[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            coords[p] = -Fraction(row[f], row[p])
-        basis.append(tuple(coords))
-    return RatSubspace(tuple(_rref([_primitive(b) for b in basis])))
+def _cross(p: Vec, q: Vec) -> Vec:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
 def orth(a: RatSubspace) -> RatSubspace:
-    """The orthogonal complement under the standard inner product."""
-    return nullspace(a.basis)
+    """The orthogonal complement under the standard inner product, by cross products:
+    a plane's is its normal, and a line's is spanned by the line crossed with each axis."""
+    if a.dim == 2:
+        return span(_cross(*a.basis))
+    if a.dim == 1:
+        return span(*(_cross(a.basis[0], e) for e in (E1, E2, E3)))
+    return FULL if a.dim == 0 else ZERO
 
 
 def join(a: RatSubspace, b: RatSubspace) -> RatSubspace:
@@ -125,8 +117,8 @@ def join(a: RatSubspace, b: RatSubspace) -> RatSubspace:
 
 
 def meet(a: RatSubspace, b: RatSubspace) -> RatSubspace:
-    """Intersection: the common nullspace of both complements, stacked."""
-    return nullspace(orth(a).basis + orth(b).basis)
+    """Intersection, by De Morgan: the complement of the join of both complements."""
+    return orth(join(orth(a), orth(b)))
 
 
 def sasaki3(u: RatSubspace, x: RatSubspace) -> RatSubspace:

@@ -269,7 +269,7 @@ def test_criterion_12_determinism(tmp_path):
             ["--json", "witness"],
         ]
         for argv in commands:
-            cmd = [sys.executable, "-m", "omloq.cli"] + argv
+            cmd = [sys.executable, "-m", "omloq"] + argv
             first = subprocess.run(cmd, capture_output=True, text=True, env=env)
             second = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert first.returncode == 0, first.stdout[-500:]

@@ -209,6 +209,58 @@ def test_morphism_unknown_label_is_unquoted(lattice_file, schema, tmp_path, caps
     assert capsys.readouterr().out.splitlines()[0] == "error: line 1: unknown element label 'z'"
 
 
+@pytest.mark.parametrize(
+    "name,text,error",
+    [
+        ("dup.lat", "elements 0 a a 1\n", "line 1: duplicate element 'a'"),
+        ("perp.lat", "elements 0 1\nleq 0 1\nperp 0\n", "line 3: perp takes exactly two labels"),
+        ("empty.lat", "# nothing declared\n", "no elements declared"),
+        ("bad.json", '{"elements": ["0", "1"]', "invalid JSON: "),
+    ],
+)
+def test_lattice_file_errors_are_input_errors(name, text, error, schema, tmp_path):
+    path = tmp_path / name
+    path.write_text(text)
+    code, doc = run_json(["check", str(path)], schema)
+    assert code == 2 and doc["verdict"] == "input-error" and doc["checks"] == []
+    assert doc["data"]["error"].startswith(error)
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("iso 0 0\niso 0 1\n", "line 2: duplicate mapping for '0'"),
+        ("iso 0 0\niso 1 1\n", "morphism does not cover elements: ['a', \"a'\", 'b', \"b'\"]"),
+        ("iso 0 0\niso a 0\niso a' a'\niso b b\niso b' b'\niso 1 1\n",
+         "morphism is not a bijection"),
+    ],
+)
+def test_morphism_file_errors_are_input_errors(text, error, lattice_file, schema, tmp_path):
+    path = tmp_path / "bad.iso"
+    path.write_text(text)
+    code, doc = run_json(["equiv", lattice_file("mo", 2), str(path)], schema)
+    assert code == 2 and doc["verdict"] == "input-error"
+    assert doc["data"]["error"] == error
+
+
+def test_suite_failure_is_a_failing_verdict(lattice_file, schema, monkeypatch):
+    # a morphism whose verification fails raises SuiteFailure out of gamma_morphism; main
+    # reports the carried report as a fail, not as an input error
+    from omloq import equivalence
+    from omloq.report import ValidationReport
+
+    def failing(phi, policy):
+        rep = ValidationReport(title=f"dyn morphism {phi.name}")
+        rep.add("forced", False, "by the test")
+        return rep
+
+    monkeypatch.setattr(equivalence, "verify_dyn_morphism", failing)
+    code, doc = run_json(["equiv", lattice_file("boolean", 2)], schema)
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["data"]["error"].endswith("is not a morphism")
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == [("forced", "fail")]
+
+
 def test_witness_command(schema, capsys):
     assert main(["witness"]) == 0
     capsys.readouterr()
@@ -275,7 +327,7 @@ def test_package_exports_resolve_on_first_access():
 def test_json_reports_are_byte_identical(tmp_path):
     lat = tmp_path / "mo2.lat"
     lat.write_text(format_lattice(catalog("mo", 2)))
-    cmd = [sys.executable, "-m", "omloq.cli", "--json", "toda", str(lat)]
+    cmd = [sys.executable, "-m", "omloq", "--json", "toda", str(lat)]
     env = {k: v for k, v in os.environ.items() if k != "OMLOQ_SEED"}
     first = subprocess.run(cmd, capture_output=True, text=True, env=env)
     second = subprocess.run(cmd, capture_output=True, text=True, env=env)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import omloq.oml
 from omloq.errors import LatticeParseError, SizeExceeded
 from omloq.oml import (
+    MAX_ELEMENTS,
     OrthoIso,
     catalog,
     check_ortho_iso,
@@ -80,6 +81,8 @@ def test_parse_json_mirror(tmp_path):
     assert l.name == "b2" and validate_oml(l).ok
     with pytest.raises(LatticeParseError):
         parse_lattice_json("[1, 2]")
+    with pytest.raises(LatticeParseError, match="^invalid JSON: "):
+        parse_lattice_json('{"elements": ["0", "1"],}')
 
 
 @pytest.mark.parametrize(
@@ -90,6 +93,17 @@ def test_parse_json_mirror(tmp_path):
         ("elements 0 a b 1\nleq 0 a\nleq a b\nleq b a\nleq b 1\nperp a b\n", "partial order"),
         ("wibble 0 1\n", "unknown directive"),
         ("elements x y\n", "no greatest"),
+        ("name\nelements 0\n", "name directive needs a value"),
+        ("elements\n", "elements directive needs at least one label"),
+        ("elements 0 a a 1\n", "duplicate element 'a'"),
+        ("elements 0 1\nleq 0\n", "leq takes exactly two labels"),
+        ("elements 0 1\nleq 0 1\nperp 0 1 1\n", "perp takes exactly two labels"),
+        ("elements 0 a b 1\nleq 0 a\nleq 0 b\nleq a 1\nleq b 1\nperp a b\nperp a 1\n",
+         "conflicting perp declarations for a"),
+        ("# comments only\nname empty\n", "no elements declared"),
+        pytest.param("elements " + " ".join(f"e{i}" for i in range(MAX_ELEMENTS + 1)) + "\n",
+                     f"{MAX_ELEMENTS + 1} elements exceeds the supported maximum {MAX_ELEMENTS}",
+                     id="more-than-MAX_ELEMENTS"),
     ],
 )
 def test_parse_errors(doc, fragment):

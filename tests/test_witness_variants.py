@@ -154,6 +154,13 @@ def id_laws(report):
             if c.name in ("product_preserved", "star_preserved")}
 
 
+def mo3_cycle(mo3):
+    """The automorphism a -> b -> c -> a of mo(3), the primes following."""
+    a, b, c = (mo3.index(x) for x in "abc")
+    return next(g for g in enumerate_automorphisms(mo3)
+                if (g.map[a], g.map[b], g.map[c]) == (b, c, a))
+
+
 def test_id_decided_laws_match_the_singleton_sweep():
     # verify_dyn_morphism decides products and stars on the monoid's ids; a sweep of the
     # singletons through DynAlgebra.mul and star gives the same statuses and witnesses
@@ -161,9 +168,7 @@ def test_id_decided_laws_match_the_singleton_sweep():
     h, h3 = gamma_object(mo2, POLICY), gamma_object(mo3, POLICY)
     target = gamma_object(psi_object(h), POLICY)
     swap = gamma_morphism(OrthoIso(mo2, mo2, (0, 3, 4, 1, 2, 5), name="swap"), h, h, POLICY)
-    a, b, c = (mo3.index(x) for x in "abc")
-    cycle = next(g for g in enumerate_automorphisms(mo3)
-                 if (g.map[a], g.map[b], g.map[c]) == (b, c, a))
+    cycle = mo3_cycle(mo3)
     phis = [
         gamma_morphism(identity_iso(mo2), h, h, POLICY),
         swap,
@@ -196,6 +201,43 @@ def test_id_decided_laws_match_the_subset_sweep_on_boolean2():
             "pass" if ok else "fail" for ok in (products, stars)], (i, j)
         statuses.update(status for status, _ in laws.values())
     assert statuses == {"pass", "fail"}
+
+
+def singleton_square(phi, lam_src, lam_dst, policy):
+    """The lambda square as (status, witness, count) over the singleton of every monoid id,
+    in id order; the count is of the singletons examined."""
+    gpsi = gamma_morphism(psi_morphism(phi), lam_src.dst, lam_dst.dst, policy)
+    alg = phi.src.alg
+    for a in alg.monoid.ids():
+        x = alg.singleton(a)
+        if gpsi.apply(lam_src.apply(x)) != lam_dst.apply(phi.apply(x)):
+            return "fail", repr(x), a + 1
+    return "pass", "", alg.monoid.size
+
+
+def test_lambda_square_is_decided_on_singletons():
+    # every map in the lambda square acts id by id, so the singletons decide it: they give
+    # the status and witness of check_naturality_lambda's sweep of singletons, small unions
+    # and the sample, and a failure its count of elements examined
+    mo2, mo3 = catalog("mo", 2), catalog("mo", 3)
+    h, h3 = gamma_object(mo2, POLICY), gamma_object(mo3, POLICY)
+    target, target3 = (gamma_object(psi_object(g), POLICY) for g in (h, h3))
+    nu = nu_table(h, target)
+    lam = DynMorphism(h, target, nu, name="lambda")
+    lam3 = DynMorphism(h3, target3, nu_table(h3, target3), name="lambda")
+    swap = gamma_morphism(OrthoIso(mo2, mo2, (0, 3, 4, 1, 2, 5), name="swap"), h, h, POLICY)
+    squares = [(swap, lam, DynMorphism(h, target, swapped(nu, a, b), name="lambda"))
+               for a, b in SWAPS]
+    squares += [(swap, lam, lam), (gamma_morphism(mo3_cycle(mo3), h3, h3, POLICY), lam3, lam3)]
+    statuses = []
+    for square in squares:
+        status, witness, count = singleton_square(*square, POLICY)
+        (check,) = check_naturality_lambda(*square, POLICY).checks
+        assert (check.status, check.witness) == (status, witness)
+        if status == "fail":
+            assert check.detail == f"{count} elements"
+        statuses.append(status)
+    assert statuses == ["fail"] * len(SWAPS) + ["pass", "pass"]
 
 
 # operation name -> fake(original, alg), the replacement installed on the instance
