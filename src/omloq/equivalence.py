@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynalg import DynAlgebra, DynElem, SamplePolicy, _per_suite, verify_ida, verify_module, verify_toda
+from .dynalg import DynAlgebra, DynElem, SamplePolicy, verify_ida, verify_module, verify_toda
 from .errors import SuiteFailure
 from .oml import Oml, OrthoIso, check_ortho_iso, identity_iso
 from .report import ValidationReport
@@ -102,23 +102,22 @@ def _monoid_laws(r: ValidationReport, em, src: InvMonoid, dst: InvMonoid, show) 
 def verify_dyn_morphism(
     phi: DynMorphism, policy: SamplePolicy = SamplePolicy()
 ) -> ValidationReport:
-    """Bijectivity plus preservation of union, product, star, tilde, unit.
+    """Bijectivity plus preservation of unit, product, star and tilde.
 
-    Products and stars are decided on the monoid's ids; unions and tildes
-    are swept over the policy sample.
+    ``apply`` maps ids one by one, so every id map preserves unions and no
+    check is spent on them.  Products and stars are decided on the monoid's
+    ids; tildes are swept over the policy sample.
     """
     r = ValidationReport(title=f"dyn morphism {phi.name}")
     src_alg, dst_alg = phi.src.alg, phi.dst.alg
 
-    ok = sorted(phi.elem_map) == list(dst_alg.monoid.ids())
+    ok = (len(phi.elem_map) == src_alg.monoid.size
+          and sorted(phi.elem_map) == list(dst_alg.monoid.ids()))
     r.add("bijective_on_monoid", ok)
     if not ok:
         return r
 
     r.add("unit_preserved", phi.apply(src_alg.unit) == dst_alg.unit)
-
-    r.first("union_preserved", (f"{x!r},{y!r}" for x, y in policy.action_pairs(src_alg)
-                                if phi.apply(x | y) != phi.apply(x) | phi.apply(y)))
     _monoid_laws(r, phi.elem_map, src_alg.monoid, dst_alg.monoid,
                  lambda a: repr(src_alg.singleton(a)))
     r.first("tilde_preserved", (repr(x) for x in policy.elements(src_alg)
@@ -220,7 +219,8 @@ def lambda_component(
 
     Verified two ways: through the normal form (splitting the id tuple) and
     through the atom decomposition (scanning the carrier for inclusion),
-    then as a full algebra morphism on the policy sample.
+    then as a full algebra morphism on the policy sample.  Its value at the
+    unit is checked once, as ``nu.unit_preserved``.
     """
     r = ValidationReport(title=f"lambda on P(T({h.oml.name}))")
     nu = nu_table(h, target)
@@ -233,8 +233,6 @@ def lambda_component(
         or target.alg.elem(nu[s.ids[0]] for s in h.alg.h_map(x)) != lam.apply(x)))
 
     r.extend(verify_dyn_morphism(lam, policy), prefix="morphism.")
-    r.add("unit_image", lam.apply(h.alg.unit) == target.alg.unit,
-          detail="lambda of the unit is the identity singleton")
     return lam, r
 
 
@@ -285,42 +283,26 @@ def check_naturality_lambda(
 
 
 # ---------------------------------------------------------------------------
-# transported-operation (h map) checks
+# the h map
 
 
 def verify_h_map(h: TodaHandle, policy: SamplePolicy = SamplePolicy()) -> ValidationReport:
-    """The atom decomposition is a bijection intertwining all five operations.
+    """The atom decomposition rejoins every sampled element, and the unit is one atom.
 
-    Elements are compared against their transported images, where each
-    transported operation rejoins the atom sets, applies the original
-    operation, and decomposes again.
+    No other check is made.  An operation carried across h rejoins each
+    operand's atoms, applies the operation and decomposes again; on the
+    sample it would be compared with the operation itself (product on the
+    action pairs; star, tilde and h after join on the elements).  Every
+    member of an action pair is a sample element or the unit, and a unit
+    outside the carrier fails ``unit_atoms``.  So once both checks pass,
+    every operand rejoins to itself, and each such comparison is of an
+    expression with itself.
     """
     alg = h.alg
     r = ValidationReport(title=f"h map on P(T({h.oml.name}))")
-    elems = policy.elements(alg)
-
-    def rejoin_once(x: DynElem) -> DynElem:
-        y = alg.union_all(alg.h_map(x))
-        return x if y == x else y  # so the memo holds no copy of an element that rejoins
-
-    rejoin = _per_suite(rejoin_once, elems)
-
-    r.first("join_after_h_is_identity", (repr(x) for x in elems if rejoin(x) != x))
-
-    def atom_ids(x: DynElem) -> list[tuple[int, ...]]:
-        return [a.ids for a in alg.h_map(x)]
-
-    r.first("h_after_join_is_identity",
-            (repr(x) for x in elems if atom_ids(rejoin(x)) != atom_ids(x)))
-
-    r.first("product_intertwined", (
-        f"{x!r},{y!r}" for x, y in policy.action_pairs(alg)
-        if atom_ids(alg.mul(x, y)) != atom_ids(alg.mul(rejoin(x), rejoin(y)))))
-
-    for name, op in (("star_intertwined", alg.star), ("tilde_intertwined", alg.tilde)):
-        r.first(name, (repr(x) for x in elems if atom_ids(op(x)) != atom_ids(op(rejoin(x)))))
-
-    r.add("unit_atoms", atom_ids(alg.unit) == [alg.unit.ids])
+    r.first("join_after_h_is_identity", (repr(x) for x in policy.elements(alg)
+                                         if alg.union_all(alg.h_map(x)) != x))
+    r.add("unit_atoms", [a.ids for a in alg.h_map(alg.unit)] == [alg.unit.ids])
     return r
 
 
