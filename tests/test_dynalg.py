@@ -406,6 +406,23 @@ def test_ida_memos_match_the_definition(algebra_for, policy, key, dropped, op):
         assert "fail" in {status for status, _ in expected.values()}
 
 
+def test_ida5_memo_tells_tilde_from_double_tilde():
+    # IDA5 keeps passes per class (~x, ~~x).  Here tilde of a two-member set without the
+    # zero projection also holds it, so double tilde keeps its closed form but ~x moves:
+    # {pi(p), pi(q)} passes at y = {pi(0), pi(p)}, while {pi(0), pi(p), pi(q)}, with the
+    # same ~~x and another ~x, fails there.  A memo keyed by ~~x alone skips the failure.
+    alg = DynAlgebra(generate_T(catalog("boolean", 3)))
+    policy = SamplePolicy()
+    assert policy.is_exhaustive(alg)
+    tilde, zero = alg.tilde, alg.delta(alg.l.bot)
+    alg.tilde = lambda a: (
+        tilde(a) | zero if len(a.ids) == 2 and zero.ids[0] not in a.ids else tilde(a))
+    expected = ida_by_definition(alg, policy)["IDA5.sasaki_shape"]
+    assert expected == ("fail", "x={pi(0), pi(p), pi(q)} y={pi(0), pi(p)}")
+    report = verify_ida(alg, policy)["IDA5.sasaki_shape"]
+    assert (report.status, report.witness) == expected
+
+
 def test_ida_makes_one_product_and_union_per_operand_set():
     # exhaustive boolean(3), 65,536 pairs: IDA2's right side takes one product per pair;
     # its left side (per x and closure of y) and IDA5 (per tilde class of x and y) each

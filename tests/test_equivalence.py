@@ -1,8 +1,13 @@
+import dataclasses
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omloq import equivalence
 from omloq.dynalg import DynAlgebra, SamplePolicy
+from omloq.errors import SuiteFailure
 from omloq.equivalence import (
     DynMorphism,
     check_naturality_lambda,
@@ -23,8 +28,12 @@ from omloq.oml import (
     check_ortho_iso,
     enumerate_automorphisms,
     identity_iso,
+    oml_from_tables,
     parse_lattice,
+    validate_oml,
 )
+from omloq.report import ValidationReport
+from omloq.testmonoid import DEFAULT_MONOID_CAP
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +61,13 @@ def mo2_swap():
         return tuple(mo2.index(s) for s in labels)
 
     return OrthoIso(mo2, mo2, idx("0", "b", "b'", "a", "a'", "1"), name="swap")
+
+
+def mo3_cycle() -> OrthoIso:
+    mo3 = catalog("mo", 3)
+    a, b, c = (mo3.index(x) for x in "abc")
+    return next(g for g in enumerate_automorphisms(mo3)
+                if g.map[a] == b and g.map[b] == c and g.map[c] == a)
 
 
 def test_gamma_object_sizes(handles):
@@ -161,14 +177,8 @@ def test_mu_naturality(handles, pol):
     rep = check_naturality_mu(mo2_swap(), h, h, pol)
     assert rep.ok
 
-    mo3 = catalog("mo", 3)
     h3, _ = handles("mo", 3)
-    autos = enumerate_automorphisms(mo3)
-    a, b, c = (mo3.index(x) for x in "abc")
-    cycle = next(
-        g for g in autos if g.map[a] == b and g.map[b] == c and g.map[c] == a
-    )
-    rep = check_naturality_mu(cycle, h3, h3, pol)
+    rep = check_naturality_mu(mo3_cycle(), h3, h3, pol)
     assert rep.ok, [c2.name for c2 in rep.failures]
 
 
@@ -414,3 +424,154 @@ def test_nu_table_failure_names_its_check(monkeypatch):
     _, rep = lambda_component(h, target)
     assert [(c.name, c.witness) for c in rep.failures] == [
         ("nu.tests_map_to_projections", "p"), ("morphism.bijective_on_monoid", "")]
+
+
+def full_rebuild(policy):
+    """Gamma(Psi(h)) the long way: every suite run again on the test lattice."""
+    return lambda h, monoid_cap: gamma_object(psi_object(h), policy, monoid_cap=monoid_cap,
+                                              require=False)
+
+
+def tables(t):
+    """What a rebuilt handle holds: its monoid, its own test lattice and the verdict."""
+    tk = t.test_oml
+    return ([e.tbl for e in t.monoid.elems], t.monoid.star, t.monoid.gen_id, t.monoid.unit_id,
+            t.oml.names, tk.up, tk.meet, tk.join, tk.perp, tk.bot, tk.top, t.delta.map, t.verified)
+
+
+def rebuild_differences(l, morphisms, policy):
+    """Round trip l with the table-identity rebuild and with the full route: which of
+    the report and the rebuilt handles' tables differ, and how many rebuilds ran."""
+    reduced = equivalence._rebuild
+    runs = []
+    for rebuild in (reduced, full_rebuild(policy)):
+        made = []
+
+        def recording(h, monoid_cap, rebuild=rebuild, made=made):
+            made.append(rebuild(h, monoid_cap))
+            return made[-1]
+
+        equivalence._rebuild = recording
+        try:
+            report = round_trip_report(l, morphisms, policy).to_dict()
+        finally:
+            equivalence._rebuild = reduced
+        runs.append((report, [tables(t) for t in made]))
+    (report, made), (full_report, full_made) = runs
+    diffs = [what for what, same in (("report", report == full_report),
+                                     ("tables", made == full_made)) if not same]
+    return diffs, len(made)
+
+
+@pytest.mark.parametrize("key, morphisms, rebuilds", [
+    (("chain2", 0), [], 1),
+    (("boolean", 2), [], 1),
+    (("mo", 2), [], 1),
+    (("mo", 3), [mo3_cycle], 1),
+    (("boolean", 2), [b2_relabel], 2),
+], ids=["chain2", "boolean-2", "mo-2", "mo-3-cycle", "boolean-2-relabel"])
+def test_rebuild_by_table_identity_matches_the_full_route(pol, key, morphisms, rebuilds):
+    # the full route is the oracle: the same report, byte for byte, and rebuilt handles
+    # with the same monoid and test-lattice tables; b2-relabel rebuilds its destination too
+    l = catalog(*key) if key[1] else catalog(key[0])
+    assert rebuild_differences(l, [k() for k in morphisms], pol) == ([], rebuilds)
+
+
+def test_round_trip_runs_each_suite_once_per_lattice(pol, monkeypatch):
+    # the rebuilds run no suite: one run of each per distinct lattice, where running
+    # them again on every test lattice made two for mo(2) and four for b2-relabel
+    calls = Counter()
+    names = ("verify_ida", "verify_toda", "verify_module")
+    for name in names:
+        def counted(alg, policy, name=name, suite=getattr(equivalence, name)):
+            calls[name] += 1
+            return suite(alg, policy)
+
+        monkeypatch.setattr(equivalence, name, counted)
+    assert round_trip_report(catalog("mo", 2), [mo2_swap()], pol).ok
+    assert calls == dict.fromkeys(names, 1)
+    calls.clear()
+    relabel = b2_relabel()
+    assert round_trip_report(relabel.src, [relabel], pol).ok
+    assert calls == dict.fromkeys(names, 2)
+
+
+def reindexed(l):
+    """l with its elements indexed in reverse order: the same lattice, indexed otherwise."""
+    r, xs = l.elements()[::-1], l.elements()  # r is its own inverse
+    return oml_from_tables(
+        [l.names[i] for i in r], lambda x, y: l.leq(r[x], r[y]),
+        [[r[l.meet[r[x]][r[y]]] for y in xs] for x in xs],
+        [[r[l.join[r[x]][r[y]]] for y in xs] for x in xs],
+        [r[l.perp[r[x]]] for x in xs], bot=r[l.bot], top=r[l.top], name=l.name)
+
+
+def test_rebuild_rejects_a_test_lattice_in_another_index_order(pol, monkeypatch):
+    # an ortho-isomorphic test lattice whose suites pass, but whose tables are not h's:
+    # its monoid differs id for id, so the round trip stops at gamma_of_test_lattice
+    gamma = equivalence.gamma_object
+
+    def reindexing(m, *args, **kwargs):
+        h = gamma(m, *args, **kwargs)
+        return dataclasses.replace(h, test_oml=reindexed(h.test_oml))
+
+    h = reindexing(catalog("boolean", 2), pol)
+    assert validate_oml(h.test_oml).ok and gamma_object(h.test_oml, pol).verified
+    target = equivalence._rebuild(h, DEFAULT_MONOID_CAP)
+    assert [(k, c.name) for k, r in target.suites.items() for c in r.failures] == [
+        ("rebuild", "monoid_equals_source")]
+
+    monkeypatch.setattr(equivalence, "gamma_object", reindexing)
+    rep = round_trip_report(catalog("boolean", 2), [], pol)
+    assert [(c.name, c.status) for c in rep.checks][-2:] == [
+        ("mu_component.is_ortho_iso", "pass"), ("gamma_of_test_lattice", "fail")]
+
+
+def test_round_trip_raises_when_a_destination_rebuild_fails(pol, monkeypatch):
+    relabel = b2_relabel()
+    gamma = equivalence.gamma_object
+
+    def reindexed_at_destination(m, *args, **kwargs):
+        h = gamma(m, *args, **kwargs)
+        return dataclasses.replace(h, test_oml=reindexed(h.test_oml)) if m is relabel.dst else h
+
+    monkeypatch.setattr(equivalence, "gamma_object", reindexed_at_destination)
+    with pytest.raises(SuiteFailure, match="rebuild of b2-relabeled fails") as err:
+        round_trip_report(relabel.src, [relabel], pol)
+    assert [c.name for c in err.value.report.failures] == ["monoid_equals_source"]
+
+
+def test_round_trip_stops_at_an_unverified_algebra(pol, monkeypatch):
+    failing = ValidationReport(title="forced")
+    failing.add("forced", False)
+    monkeypatch.setattr(equivalence, "verify_toda", lambda alg, policy: failing)
+    rep = round_trip_report(catalog("mo", 2), [mo2_swap()], pol)
+    assert [(c.name, c.status) for c in rep.checks] == [
+        ("gamma.test_lattice", "pass"), ("gamma.ida", "pass"), ("gamma.toda", "fail"),
+        ("gamma.module", "pass")]
+
+
+def test_round_trip_rejects_a_morphism_from_another_lattice(pol):
+    with pytest.raises(ValueError, match="does not start at boolean"):
+        round_trip_report(catalog("boolean", 2), [mo2_swap()], pol)
+
+
+if __name__ == "__main__":
+    # the differential on criterion 11's heavier lattices, too slow for tier-1:
+    # PYTHONPATH=src python tests/test_equivalence.py exits 1 on any difference
+    from test_acceptance import automorphism
+
+    b4, b5, mo4, mo5 = (catalog(*key) for key in (("boolean", 4), ("boolean", 5),
+                                                  ("mo", 4), ("mo", 5)))
+    jobs = [
+        (b4, automorphism(b4, {"p": "q", "q": "p", "r": "r", "s": "s"})),
+        (mo4, automorphism(mo4, {"a": "b", "b": "a", "c": "c", "d": "d"})),
+        (b5, automorphism(b5, {"p": "q", "q": "p", "r": "r", "s": "s", "t": "t"})),
+        (mo5, automorphism(mo5, {"a": "b", "b": "c", "c": "d", "d": "e", "e": "a"})),
+    ]
+    status = 0
+    for l, k in jobs:
+        diffs, rebuilds = rebuild_differences(l, [k], SamplePolicy())
+        print(l.name, k.name, "rebuilds:", rebuilds, "differences:", diffs or "none")
+        status |= bool(diffs) or rebuilds != 1
+    sys.exit(status)
