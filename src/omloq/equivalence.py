@@ -175,12 +175,13 @@ def psi_morphism(phi: DynMorphism) -> OrthoIso:
 def nu_table(h: TodaHandle, target: TodaHandle) -> tuple[int, ...]:
     """For each monoid id of h, the target-monoid id of its action on tests.
 
-    The bare table: two ids sharing an action, or a target id that no
-    action reaches, make it no bijection, which ``lambda_component``
-    reports as ``morphism.bijective_on_monoid``.
+    The bare table: two ids sharing an action, a target id that no action
+    reaches, or an action outside the target's monoid (id -1) make it no
+    bijection, which ``lambda_component`` reports as
+    ``morphism.bijective_on_monoid``.
     """
-    return tuple(target.monoid.id_of(h.alg.action_table(h.alg.singleton(f)))
-                 for f in h.monoid.ids())
+    by_tbl = target.monoid._by_tbl
+    return tuple(by_tbl.get(h.alg.action_table(h.alg.singleton(f)), -1) for f in h.monoid.ids())
 
 
 def lambda_component(

@@ -15,6 +15,7 @@ from omloq.dynalg import (
     verify_toda,
 )
 from omloq.oml import catalog, check_ortho_iso, sasaki_projection, validate_oml
+from omloq.report import ValidationReport
 from omloq.testmonoid import generate_T
 from test_witness_variants import PATCHES
 
@@ -440,6 +441,155 @@ def test_ida_makes_one_product_and_union_per_operand_set():
     assert verify_ida(alg, policy).ok
     assert calls["mul"] <= 65_536 + 2 * alg.l.n * 256 == 69_632
     assert calls["union"] <= 2 * alg.l.n * 256 == 4_096
+
+
+def module_by_definition(alg, policy):
+    """verify_module's checks, each its own sweep through the instance's operations: A1 on
+    every sample element, A2 and A3 test by test, one union per family and check, one
+    product per pair and check."""
+    r = ValidationReport()
+    l = alg.l
+    tests = list(l.elements())
+    elems, pairs = policy.elements(alg), policy.action_pairs(alg)
+    tk, _, tl_report = alg.test_lattice()
+    if not tl_report.ok:
+        r.add("precondition.test_lattice", False, "test lattice extraction failed")
+        return r
+    act = alg.action_tables()
+    tilde, tilde_tilde = alg.tilde, alg.tilde_tilde
+    families = [[], *([x] for x in elems), *([x, y] for x, y in pairs), elems]
+
+    def broken_joins():
+        for k in elems:
+            a = act(k)
+            yield from (f"k={k!r} v={l.names[x]},{l.names[y]}" for x in tests for y in tests
+                        if a[tk.join[x][y]] != tk.join[a[x]][a[y]])
+            if a[tk.bot] != tk.bot:
+                yield f"k={k!r} at empty join"
+
+    r.first("A1.action_preserves_test_joins", broken_joins())
+    r.first("A2.joins_act_pointwise", (
+        f"family size {len(fam)} at {l.names[v]}" for fam in families
+        for total, parts in ((act(alg.union_all(fam)), [act(t) for t in fam]),) for v in tests
+        if total[v] != tk.join_all(part[v] for part in parts)))
+    r.first("A3.product_acts_by_composition", (
+        f"u={u!r} s={s!r} v={l.names[v]}" for u, s in pairs
+        for us, on_u, on_s in ((act(alg.mul(u, s)), act(u), act(s)),) for v in tests
+        if us[v] != on_u[on_s[v]]))
+    r.first("A4.unit_acts_as_identity", (l.names[v] for v in tests if act(alg.unit)[v] != v))
+    r.first("triple_tilde_collapses",
+            (repr(x) for x in elems if tilde(tilde_tilde(x)) != tilde(x)))
+    r.first("double_tilde_preserves_joins", (
+        f"family size {len(fam)}" for fam in families
+        if tilde_tilde(alg.union_all(fam))
+        != alg.delta(tk.join_all(alg._test_index(tilde_tilde(t)) for t in fam))))
+    r.first("double_tilde_intertwines_product_with_action", (
+        f"u={u!r} v={v!r}" for u, v in pairs
+        if tilde_tilde(alg.mul(u, v)) != alg.delta(act(u)[alg._test_index(tilde_tilde(v))])))
+
+    by_action = {}
+    for e in elems:
+        by_action.setdefault(act(e), []).append(e)
+    eq_pairs = [(g[i], g[i + 1]) for g in by_action.values() for i in range(len(g) - 1)][:40]
+    if not eq_pairs:
+        eq_pairs = [(elems[0], elems[0])]
+    r.first(
+        "equiv_is_congruence",
+        (f"{kind} congruence at u={u!r} v={v!r} s={s!r} t={t!r}"
+         for u, v in eq_pairs for s, t in eq_pairs[:10]
+         for kind, op in (("product", alg.mul), ("join", alg.union))
+         if act(op(u, s)) != act(op(v, t))),
+        detail=f"{len(eq_pairs)} equivalent pairs exercised",
+    )
+    return r
+
+
+MODULE_CASES = {
+    "boolean-2": (("boolean", 2), None, None),
+    "mo-2": (("mo", 2), None, None),
+    "mo-3": (("mo", 3), None, None),
+    **{f"boolean-2-without-{d}": (("boolean", 2), d, None) for d in range(4)},
+    **{f"mo-2-without-{d}": (("mo", 2), d, None) for d in (0, 3, 5, 6, 11, 17)},
+    **{f"{name}-2-{op}": ((name, 2), None, op) for name in ("boolean", "mo") for op in PATCHES},
+}
+
+
+def module_case(algebra_for, key, dropped, op):
+    """A fresh algebra on key's monoid, its carrier without ``dropped``, ``op`` patched."""
+    monoid = algebra_for(*key).monoid
+    alg = DynAlgebra(monoid, None if dropped is None else
+                     tuple(i for i in monoid.ids() if i != dropped))
+    if op is not None:
+        setattr(alg, op, PATCHES[op](getattr(alg, op), alg))
+    return alg
+
+
+@pytest.fixture(scope="module")
+def module_definitions(algebra_for, policy):
+    return {case: module_by_definition(module_case(algebra_for, *args), policy).checks
+            for case, args in MODULE_CASES.items()}
+
+
+@pytest.mark.parametrize("case", MODULE_CASES)
+def test_module_sweeps_match_the_definition(algebra_for, policy, module_definitions, case):
+    # exhaustive boolean(2), sampled mo(2) and mo(3), punctured carriers, and algebras with
+    # one operation patched on the instance: the shared sweeps give the separate ones' report
+    report = verify_module(module_case(algebra_for, *MODULE_CASES[case]), policy)
+    assert report.checks == module_definitions[case]
+
+
+def test_module_sweeps_are_compared_where_they_fail(module_definitions):
+    # each check that shares a sweep, and A1, which checks each distinct table once, fails
+    # on some case
+    failing = {c.name for checks in module_definitions.values() for c in checks
+               if c.status == "fail"}
+    assert failing >= {
+        "A1.action_preserves_test_joins", "A2.joins_act_pointwise",
+        "A3.product_acts_by_composition", "double_tilde_preserves_joins",
+        "double_tilde_intertwines_product_with_action"}
+
+
+def test_module_makes_one_product_per_action_pair_and_one_union_per_family():
+    # mo(4): 2504 action pairs and 2819 join families.  A product whose right operand is a
+    # singleton is an action's k·delta(v); the others are the shared A3 sweep's, one per
+    # pair, and at most 800 in the congruence check (40 × 10 pairs, two sides)
+    alg = DynAlgebra(generate_T(catalog("mo", 4)))
+    policy = SamplePolicy()
+    pairs = policy.action_pairs(alg)
+    families = len(policy.elements(alg)) + len(pairs) + 2
+    assert (len(pairs), families) == (2504, 2819)
+    calls = {"mul": 0, "union_all": 0}
+    mul, union_all = alg.mul, alg.union_all
+
+    def counted_mul(a, b):
+        calls["mul"] += len(b.ids) != 1
+        return mul(a, b)
+
+    def counted_union_all(elems):
+        calls["union_all"] += 1
+        return union_all(elems)
+
+    alg.mul, alg.union_all = counted_mul, counted_union_all
+    assert verify_module(alg, policy).ok
+    assert calls["mul"] <= len(pairs) + 800
+    assert calls["union_all"] <= families
+
+
+@pytest.mark.parametrize("key", [("boolean", 4), ("mo", 4)], ids=lambda key: f"{key[0]}-{key[1]}")
+def test_module_heap_peak_stays_small(key):
+    # the shared sweeps hand each union and product straight to their two checks and keep
+    # no list of them; the peak, about 770 KiB, is the call's memo of action tables
+    alg = DynAlgebra(generate_T(catalog(*key)))
+    policy = SamplePolicy()
+    policy.pairs(alg)  # the sample is built and cached before the measurement
+    alg.test_lattice()
+    tracemalloc.start()
+    try:
+        assert verify_module(alg, policy).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.fixture(scope="module")

@@ -426,6 +426,17 @@ def test_nu_table_failure_names_its_check(monkeypatch):
         ("nu.tests_map_to_projections", "p"), ("morphism.bijective_on_monoid", "")]
 
 
+def test_lambda_component_reports_an_action_outside_the_target_monoid():
+    # boolean(2)'s test lattice in reversed index order: three of h's action tables are
+    # not in that target's monoid, so nu marks them -1 and the report says so
+    b2 = catalog("boolean", 2)
+    h, target = gamma_object(b2), gamma_object(reindexed(b2))
+    assert nu_table(h, target) == (-1, -1, -1, 0)
+    _, rep = lambda_component(h, target)
+    assert [(c.name, c.witness) for c in rep.failures] == [
+        ("nu.tests_map_to_projections", "0"), ("morphism.bijective_on_monoid", "")]
+
+
 def full_rebuild(policy):
     """Gamma(Psi(h)) the long way: every suite run again on the test lattice."""
     return lambda h, monoid_cap: gamma_object(psi_object(h), policy, monoid_cap=monoid_cap,
