@@ -131,8 +131,9 @@ def gamma_morphism(
     """Transport a lattice isomorphism to the algebras by conjugation.
 
     Each monoid element's table is conjugated and re-identified in the
-    destination monoid; the resulting element map is verified to be a
-    morphism of algebras before it is returned.
+    destination monoid, as id -1 when it is missing there; the resulting
+    element map is verified to be a morphism of algebras before it is
+    returned, so a missing conjugate fails ``bijective_on_monoid``.
     """
     iso_rep = check_ortho_iso(k)
     if not iso_rep.ok:
@@ -141,16 +142,9 @@ def gamma_morphism(
         raise ValueError("morphism endpoints do not match the supplied handles")
 
     kinv = k.inverse()
-    elem_map = []
-    for e in src.monoid.elems:
-        conj = tuple(k(e.tbl[kinv(x)]) for x in dst.oml.elements())
-        try:
-            elem_map.append(dst.monoid.id_of(conj))
-        except KeyError:
-            raise AssertionError(
-                f"conjugate of {e!r} missing from the destination monoid"
-            ) from None
-    phi = DynMorphism(src, dst, tuple(elem_map), name=f"gamma({k.name})")
+    elem_map = tuple(dst.monoid.id_of(tuple(k(e.tbl[kinv(x)]) for x in dst.oml.elements()))
+                     for e in src.monoid.elems)
+    phi = DynMorphism(src, dst, elem_map, name=f"gamma({k.name})")
     rep = verify_dyn_morphism(phi, policy)
     if not rep.ok:
         raise SuiteFailure(f"gamma({k.name}) is not a morphism", rep)
@@ -175,13 +169,13 @@ def psi_morphism(phi: DynMorphism) -> OrthoIso:
 def nu_table(h: TodaHandle, target: TodaHandle) -> tuple[int, ...]:
     """For each monoid id of h, the target-monoid id of its action on tests.
 
-    The bare table: two ids sharing an action, a target id that no action
-    reaches, or an action outside the target's monoid (id -1) make it no
-    bijection, which ``lambda_component`` reports as
-    ``morphism.bijective_on_monoid``.
+    The bare table, read through ``target.monoid.id_of``: two ids sharing an
+    action, a target id that no action reaches, or an action outside the
+    target's monoid (id -1) make it no bijection, which ``lambda_component``
+    reports as ``morphism.bijective_on_monoid``.
     """
-    by_tbl = target.monoid._by_tbl
-    return tuple(by_tbl.get(h.alg.action_table(h.alg.singleton(f)), -1) for f in h.monoid.ids())
+    id_of = target.monoid.id_of
+    return tuple(id_of(h.alg.action_table(h.alg.singleton(f))) for f in h.monoid.ids())
 
 
 def lambda_component(

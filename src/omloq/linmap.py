@@ -263,6 +263,9 @@ class _Carrier:
     A joined table is certified by orth_adjoint once per id, and that memo is
     filled only by orth_adjoint, never from the carrier.  Each suite accepts a
     _Carrier in place of its map list, so suites on the same maps share its rows.
+    It is the package's one table store: ``generate_T`` closes T inside
+    ``_Carrier(l, [])``, whose ids 0..n-1 are the Sasaki tables, and
+    ``InvMonoid.tables`` is T as a closed carrier, whose rows are the Cayley table.
     """
 
     def __init__(self, l: Oml, maps: list[LinMap]):

@@ -1,10 +1,11 @@
 """Closure of the Sasaki projections under composition.
 
 The generated involutive monoid is the carrier the powerset dynamic algebra
-is built over.  Elements are canonicalized by their full image table;
-every element keeps a shortest generator word as a witness, and the
-involution is word reversal (the generators are self-adjoint), which the
-generator verifies against the adjoint computation.
+is built over.  Elements are canonicalized by their full image table,
+interned in the one table store, ``linmap._Carrier``; every element keeps a
+shortest generator word as a witness, and the involution is word reversal
+(the generators are self-adjoint), which the generator verifies against the
+adjoint computation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import SizeExceeded
-from .linmap import EndoMap, LinMap, orth_adjoint, sasaki_map
+from .linmap import EndoMap, LinMap, _Carrier, orth_adjoint, sasaki_map
 from .oml import Oml, validate_oml
 
 DEFAULT_MONOID_CAP = 100_000
@@ -39,6 +40,8 @@ class InvMonoid:
     """The involutive submonoid generated by all Sasaki projections.
 
     Immutable once generated; the Cayley table is built on first use.
+    ``tables`` is T as a closed Lin carrier, each map with its star as adjoint,
+    so its ids are T's ids and its width is its size.
     """
 
     l: Oml
@@ -46,7 +49,7 @@ class InvMonoid:
     gen_id: tuple[int, ...]  # lattice element m -> id of pi_m
     unit_id: int
     star: tuple[int, ...]  # id -> id of its involution
-    _by_tbl: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
+    tables: _Carrier = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -57,15 +60,16 @@ class InvMonoid:
 
     @cached_property
     def cayley(self) -> tuple[tuple[int, ...], ...]:
-        """Dense product table: cayley[a][b] is the id of tbl_a composed after tbl_b."""
-        tbls = [e.tbl for e in self.elems]
-        return tuple(tuple(self.id_of(tuple(ta[x] for x in tb)) for tb in tbls) for ta in tbls)
+        """Dense product table: cayley[a][b] is the id of tbl_a composed after tbl_b.
+
+        Its rows are the composition rows of ``tables``, kept as tuples.
+        """
+        return tuple(tuple(self.tables.comp_row(a)) for a in self.ids())
 
     def id_of(self, tbl: tuple[int, ...]) -> int:
-        try:
-            return self._by_tbl[tbl]
-        except KeyError:
-            raise KeyError("table does not belong to the generated monoid") from None
+        """The id of the element whose table is tbl, or -1 when no element has it."""
+        i = self.tables.ids.get(tbl, -1)
+        return i if i < self.size else -1
 
     def label(self, a: int) -> str:
         return "pi(" + ")pi(".join(self.l.names[m] for m in self.elems[a].witness) + ")"
@@ -74,8 +78,12 @@ class InvMonoid:
 def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
     """Generate the closure of {pi_m} under composition, breadth first.
 
-    Dedupe key is the image table, so word length grows level by level and
-    the first witness found for a table is shortest.  The reverse of every
+    The closure runs in ``_Carrier(l, [])``, whose ids 0..n-1 are already
+    pi_0..pi_{n-1} (pi_top is the unit and pi_bot the zero map), and interns
+    each composite there.  Dedupe key is the image table, so word length grows
+    level by level and the first witness found for a table is shortest.  The
+    cap is checked after each composite, so when SizeExceeded is raised the
+    store holds at most max(n, cap + 1) tables.  The reverse of every
     reachable word is reachable, which makes the involution total; star ids
     are computed from reversed witnesses and verified against the
     orthogonality adjoint of the element.
@@ -85,70 +93,31 @@ def generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> InvMonoid:
         bad = ", ".join(c.name for c in rep.failures)
         raise ValueError(f"lattice fails axioms ({bad}); refusing to generate")
 
-    by_tbl: dict[tuple[int, ...], int] = {}
-    elems: list[MonoidElem] = []
-    gen_tbls: list[tuple[int, ...]] = []
+    c = _Carrier(l, [])
+    words = [(m,) for m in l.elements()]
+    # words grows while it is read, so it is the breadth-first queue
+    for eid, word in enumerate(words):
+        for m in l.elements():
+            for a, b, w in ((m, eid, (m,) + word), (eid, m, word + (m,))):
+                if c._compose(a, b) == len(words):
+                    words.append(w)
+                if len(words) > cap:
+                    raise SizeExceeded(cap + 1, cap, what="monoid elements")
 
-    def intern(tbl: tuple[int, ...], word: tuple[int, ...]) -> int | None:
-        if tbl in by_tbl:
-            return None
-        if len(elems) >= cap:
-            raise SizeExceeded(len(elems) + 1, cap, what="monoid elements")
-        eid = len(elems)
-        by_tbl[tbl] = eid
-        elems.append(MonoidElem(eid, tbl, word))
-        return eid
-
-    gen_id = []
-    for m in l.elements():
-        tbl = sasaki_map(l, m).tbl
-        gen_tbls.append(tbl)
-        intern(tbl, (m,))
-        gen_id.append(by_tbl[tbl])
-
-    frontier = list(range(len(elems)))
-    while frontier:
-        fresh: list[int] = []
-        for eid in frontier:
-            tbl, word = elems[eid].tbl, elems[eid].witness
-            for m in l.elements():
-                g = gen_tbls[m]
-                left = tuple(g[tbl[x]] for x in l.elements())
-                new = intern(left, (m,) + word)
-                if new is not None:
-                    fresh.append(new)
-                right = tuple(tbl[g[x]] for x in l.elements())
-                new = intern(right, word + (m,))
-                if new is not None:
-                    fresh.append(new)
-        frontier = fresh
-
-    unit_tbl = tuple(l.elements())
-    if unit_tbl not in by_tbl:
-        raise AssertionError("identity map missing from closure")
-
-    star = []
+    elems = [MonoidElem(i, c.tab[i], w) for i, w in enumerate(words)]
+    star, maps = [], []
     for e in elems:
         # pi_m1 . ... . pi_mj reversed is pi_mj . ... . pi_m1: apply pi_m1 first
-        tbl = unit_tbl
+        s = c.e
         for m in e.witness:
-            g = gen_tbls[m]
-            tbl = tuple(g[tbl[x]] for x in l.elements())
-        if tbl not in by_tbl:
-            raise AssertionError("reverse word escapes the closure")
+            s = c._compose(m, s)
         adj = orth_adjoint(EndoMap(l, e.tbl))
-        if not isinstance(adj, LinMap) or adj.adj.tbl != tbl:
+        if s >= len(elems) or not isinstance(adj, LinMap) or adj.adj.tbl != c.tab[s]:
             raise AssertionError(f"word reversal disagrees with the adjoint for {e!r}")
-        star.append(by_tbl[tbl])
+        star.append(s)
+        maps.append(adj)
 
-    return InvMonoid(
-        l=l,
-        elems=elems,
-        gen_id=tuple(gen_id),
-        unit_id=by_tbl[unit_tbl],
-        star=tuple(star),
-        _by_tbl=by_tbl,
-    )
+    return InvMonoid(l, elems, tuple(c.sas), c.e, tuple(star), _Carrier(l, maps))
 
 
 def bruteforce_closure(l: Oml) -> set[tuple[int, ...]]:

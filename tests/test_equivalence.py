@@ -136,6 +136,23 @@ def test_gamma_morphism_rejects_bad_input(handles, pol):
         gamma_morphism(identity_iso(mo2), hb, hb, pol)
 
 
+def test_gamma_morphism_reports_a_conjugate_missing_from_the_destination(handles, pol, monkeypatch):
+    # id_of answers -1 for one element's conjugate, so the element map is no bijection
+    h, _ = handles("mo", 2)
+    swap = mo2_swap()
+    id_of = h.monoid.id_of
+    missing = tuple(swap(h.monoid.elems[7].tbl[swap.inverse()(x)]) for x in h.oml.elements())
+    monkeypatch.setattr(h.monoid, "id_of", lambda tbl: -1 if tbl == missing else id_of(tbl))
+    with pytest.raises(SuiteFailure, match=r"^gamma\(swap\) is not a morphism$") as exc:
+        gamma_morphism(swap, h, h, pol)
+    assert [c.name for c in exc.value.report.failures] == ["bijective_on_monoid"]
+
+
+def test_toda_handle_repr(handles):
+    h, _ = handles("boolean", 2)
+    assert repr(h) == f"TodaHandle({h.oml.name}, |T|=4, verified=True)"
+
+
 def test_psi_object_extracts_isomorphic_lattice(handles):
     for key in [("chain2", 0), ("boolean", 3), ("mo", 2)]:
         h, _ = handles(*key)

@@ -11,6 +11,7 @@ from omloq.hilbert3 import (
     FULL,
     ZERO,
     RatSubspace,
+    _primitive,
     join,
     meet,
     orth,
@@ -160,3 +161,14 @@ def test_lattice_laws_on_random_spans(v1, v2, v3):
     assert orth(join(a, b)) == meet(orth(a), orth(b))
     assert sasaki3(a, b).contains(ZERO)
     assert a.contains(sasaki3(a, b))
+
+
+def test_zero_subspace_repr():
+    assert repr(ZERO) == repr(span()) == "span()"
+    assert repr(span((2, 0, 0), (0, 0, 3))) == "span([1, 0, 0], [0, 0, 1])"
+
+
+def test_primitive_row_has_a_positive_leading_entry():
+    # _rref scales every pivot to 1 before this, so only a direct call meets a negative lead
+    assert _primitive((Fraction(-2, 3), Fraction(4, 3), Fraction(0))) == (1, -2, 0)
+    assert _primitive((Fraction(0),) * 3) is None

@@ -493,6 +493,19 @@ def test_carrier_tables_match_the_per_call_operations():
         assert c.tab[c.lin(c.zero)] == pointwise_join(l, []).base.tbl
 
 
+def test_public_guards_reject_mismatched_or_oversized_input():
+    b2, mo2 = catalog("boolean", 2), catalog("mo", 2)
+    f, g = orth_adjoint(identity_map(b2)), orth_adjoint(identity_map(mo2))
+    with pytest.raises(ValueError, match="^lattice mismatch in composition$"):
+        compose(f, g)
+    with pytest.raises(ValueError, match="^lattice mismatch in pointwise join$"):
+        pointwise_join(b2, [f, g])
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        enumerate_lin(b2, cap=0)
+    with pytest.raises(ValueError, match=r"^brute-force oracle is limited to n <= 5$"):
+        bruteforce_lin(mo2)
+
+
 if __name__ == "__main__":
     # rewrites the golden file from whichever omloq is importable
     with open(LIN_VARIANTS, "w", encoding="utf-8") as fh:

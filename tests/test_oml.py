@@ -336,3 +336,9 @@ def test_parser_random_relations_never_crash(pairs):
     except LatticeParseError:
         return
     validate_oml(l)
+
+
+def test_ortho_iso_compose_rejects_mismatched_endpoints():
+    mo2, b2 = catalog("mo", 2), catalog("boolean", 2)
+    with pytest.raises(ValueError, match="^endpoint mismatch in composition$"):
+        identity_iso(mo2).compose(identity_iso(b2))

@@ -1,3 +1,5 @@
+import pytest
+
 from omloq.report import FAIL, PASS, ValidationReport
 
 
@@ -24,3 +26,11 @@ def test_first_passes_detail_through():
     assert r.first("ok", [], detail="3 cases").detail == "3 cases"
     assert r.first("bad", ["w"], detail="3 cases").to_dict() == {
         "name": "bad", "status": FAIL, "witness": "w", "detail": "3 cases"}
+
+
+def test_report_lookup_of_a_missing_check_raises_key_error():
+    r = ValidationReport(title="t")
+    r.add("present", True)
+    assert r["present"].status == PASS
+    with pytest.raises(KeyError, match="missing"):
+        r["missing"]

@@ -1,14 +1,21 @@
 import csv
 import itertools
 import random
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import pytest
 
+from conftest import CORPUS_SPECS
+from omloq import testmonoid
 from omloq.dynalg import DynAlgebra
 from omloq.errors import SizeExceeded
-from omloq.linmap import EndoMap, LinMap, orth_adjoint
-from omloq.oml import catalog
+from omloq.linmap import EndoMap, LinMap, NotLinear, orth_adjoint, sasaki_map, verify_foulis
+from omloq.oml import Oml, catalog, validate_oml
+from omloq.report import PASS
 from omloq.testmonoid import (
+    DEFAULT_MONOID_CAP,
+    MonoidElem,
     bruteforce_closure,
     export_cayley_csv,
     generate_T,
@@ -213,3 +220,167 @@ def test_cayley_table_is_built_on_first_use():
     assert "cayley" not in m.__dict__
     assert m.cayley[m.unit_id][m.unit_id] == m.unit_id
     assert "cayley" in m.__dict__
+
+
+# ---------------------------------------------------------------------------
+# generate_T and the Cayley table as they were before the closure moved into the one
+# table store: a dict of tables and a second pass composing every pair.  Kept verbatim,
+# but for the class name, as the oracle of the closure inside linmap._Carrier
+
+
+@dataclass
+class DictMonoid:
+    l: Oml
+    elems: list[MonoidElem]
+    gen_id: tuple[int, ...]  # lattice element m -> id of pi_m
+    unit_id: int
+    star: tuple[int, ...]  # id -> id of its involution
+    _by_tbl: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def cayley(self) -> tuple[tuple[int, ...], ...]:
+        """Dense product table: cayley[a][b] is the id of tbl_a composed after tbl_b."""
+        tbls = [e.tbl for e in self.elems]
+        return tuple(tuple(self.id_of(tuple(ta[x] for x in tb)) for tb in tbls) for ta in tbls)
+
+    def id_of(self, tbl: tuple[int, ...]) -> int:
+        try:
+            return self._by_tbl[tbl]
+        except KeyError:
+            raise KeyError("table does not belong to the generated monoid") from None
+
+
+def dict_generate_T(l: Oml, cap: int = DEFAULT_MONOID_CAP) -> DictMonoid:
+    rep = validate_oml(l)
+    if not rep.ok:
+        bad = ", ".join(c.name for c in rep.failures)
+        raise ValueError(f"lattice fails axioms ({bad}); refusing to generate")
+
+    by_tbl: dict[tuple[int, ...], int] = {}
+    elems: list[MonoidElem] = []
+    gen_tbls: list[tuple[int, ...]] = []
+
+    def intern(tbl: tuple[int, ...], word: tuple[int, ...]) -> int | None:
+        if tbl in by_tbl:
+            return None
+        if len(elems) >= cap:
+            raise SizeExceeded(len(elems) + 1, cap, what="monoid elements")
+        eid = len(elems)
+        by_tbl[tbl] = eid
+        elems.append(MonoidElem(eid, tbl, word))
+        return eid
+
+    gen_id = []
+    for m in l.elements():
+        tbl = sasaki_map(l, m).tbl
+        gen_tbls.append(tbl)
+        intern(tbl, (m,))
+        gen_id.append(by_tbl[tbl])
+
+    frontier = list(range(len(elems)))
+    while frontier:
+        fresh: list[int] = []
+        for eid in frontier:
+            tbl, word = elems[eid].tbl, elems[eid].witness
+            for m in l.elements():
+                g = gen_tbls[m]
+                left = tuple(g[tbl[x]] for x in l.elements())
+                new = intern(left, (m,) + word)
+                if new is not None:
+                    fresh.append(new)
+                right = tuple(tbl[g[x]] for x in l.elements())
+                new = intern(right, word + (m,))
+                if new is not None:
+                    fresh.append(new)
+        frontier = fresh
+
+    unit_tbl = tuple(l.elements())
+    if unit_tbl not in by_tbl:
+        raise AssertionError("identity map missing from closure")
+
+    star = []
+    for e in elems:
+        # pi_m1 . ... . pi_mj reversed is pi_mj . ... . pi_m1: apply pi_m1 first
+        tbl = unit_tbl
+        for m in e.witness:
+            g = gen_tbls[m]
+            tbl = tuple(g[tbl[x]] for x in l.elements())
+        if tbl not in by_tbl:
+            raise AssertionError("reverse word escapes the closure")
+        adj = orth_adjoint(EndoMap(l, e.tbl))
+        if not isinstance(adj, LinMap) or adj.adj.tbl != tbl:
+            raise AssertionError(f"word reversal disagrees with the adjoint for {e!r}")
+        star.append(by_tbl[tbl])
+
+    return DictMonoid(
+        l=l,
+        elems=elems,
+        gen_id=tuple(gen_id),
+        unit_id=by_tbl[unit_tbl],
+        star=tuple(star),
+        _by_tbl=by_tbl,
+    )
+
+
+@pytest.mark.parametrize("name,k", CORPUS_SPECS + [("mo", 5), ("mo", 8), ("boolean", 6)])
+def test_closure_in_the_table_store_matches_the_dict_closure(name, k):
+    l = catalog(name, k)
+    m, old = generate_T(l), dict_generate_T(l)
+    assert m.elems == old.elems  # ids, tables and witnesses
+    assert (m.star, m.gen_id, m.unit_id) == (old.star, old.gen_id, old.unit_id)
+    assert m.cayley == old.cayley
+    assert all(m.id_of(e.tbl) == e.id for e in m.elems)
+
+
+def test_monoid_tables_are_T_as_a_closed_foulis_carrier(corpus):
+    for l in corpus:
+        m = generate_T(l)
+        c = m.tables
+        assert c.size == c.width == m.size, l.name
+        assert (c.col, c.adj, c.sas, c.e) == (list(m.ids()), list(m.star), list(m.gen_id), m.unit_id)
+        rep = verify_foulis(l, c)
+        assert rep.ok and rep["carrier.closed"].status == PASS, (l.name, rep.summary())
+
+
+def test_id_of_is_minus_one_off_the_monoid():
+    # verify_foulis interns pointwise joins into the store, past the monoid's ids
+    mo2 = catalog("mo", 2)
+    m = generate_T(mo2)
+    verify_foulis(mo2, m.tables)
+    outside = m.tables.tab[m.size:]
+    assert outside and all(m.id_of(t) == -1 for t in outside)
+    assert m.id_of(tuple(range(mo2.n))) == m.unit_id
+    assert m.id_of((mo2.top,) * mo2.n) == -1
+
+
+@pytest.mark.parametrize("name,k,caps", [("mo", 2, range(3, 18)), ("mo", 3, (20, 30, 37))])
+def test_cap_bounds_the_table_store(name, k, caps, monkeypatch):
+    # the cap is checked at each new element, not once per breadth-first level
+    stores = []
+
+    class Recorded(testmonoid._Carrier):
+        def __init__(self, l, maps):
+            super().__init__(l, maps)
+            stores.append(self)
+
+    monkeypatch.setattr(testmonoid, "_Carrier", Recorded)
+    l = catalog(name, k)
+    for cap in caps:
+        stores.clear()
+        with pytest.raises(SizeExceeded, match=rf"^monoid elements: {cap + 1} exceeds cap {cap}$"):
+            generate_T(l, cap=cap)
+        assert len(stores) == 1
+        assert len(stores[0].tab) <= max(cap + 1, l.n), cap
+
+
+def test_adjoint_disagreement_is_an_internal_invariant(monkeypatch):
+    mo2 = catalog("mo", 2)
+
+    def wrong_adjoint(f):
+        res = orth_adjoint(f)
+        return LinMap(res.base, res.base) if f.tbl != res.adj.tbl else res
+
+    for patched in (lambda f: NotLinear("patched", ()), wrong_adjoint):
+        monkeypatch.setattr(testmonoid, "orth_adjoint", patched)
+        with pytest.raises(AssertionError, match="word reversal disagrees with the adjoint"):
+            generate_T(mo2)
