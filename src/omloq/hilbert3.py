@@ -31,10 +31,7 @@ def _primitive(row: tuple[Fraction, ...]) -> Vec | None:
         g = gcd(g, v)
     if g == 0:
         return None
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+    return tuple(v // g for v in ints)  # _rref scales each pivot to 1, so the lead is positive
 
 
 def _rref(rows: list[tuple[int, ...]]) -> list[Vec]:

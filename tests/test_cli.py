@@ -324,6 +324,12 @@ def test_package_exports_resolve_on_first_access():
     assert omloq.dynalg.DEFAULT_SEED == omloq.testmonoid.DEFAULT_SEED == 3405691582
 
 
+def test_package_dir_lists_every_export():
+    import omloq
+
+    assert {*omloq.__all__, "__getattr__", "__dir__"} <= set(dir(omloq))
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     lat = tmp_path / "mo2.lat"
     lat.write_text(format_lattice(catalog("mo", 2)))

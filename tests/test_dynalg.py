@@ -17,7 +17,7 @@ from omloq.dynalg import (
 from omloq.oml import catalog, check_ortho_iso, sasaki_projection, validate_oml
 from omloq.report import ValidationReport
 from omloq.testmonoid import generate_T
-from test_witness_variants import PATCHES
+from test_witness_variants import PATCHES, PUNCTURED
 
 
 def gens(alg, *labels):
@@ -705,3 +705,68 @@ def test_sample_policy_determinism(algebra_for):
     assert a == c
     different = [e.ids for e in SamplePolicy(seed=99).elements(fresh)]
     assert a != different
+
+
+def test_carrier_must_list_distinct_monoid_ids(algebra_for):
+    monoid = algebra_for("mo", 2).monoid
+    for carrier in ((0, 0, 1), (0, 1, monoid.size), (-1, 0)):
+        with pytest.raises(ValueError, match="^carrier must list distinct monoid ids"):
+            DynAlgebra(monoid, carrier=carrier)
+
+
+def test_punctured_control_carriers_are_accepted():
+    carriers = []
+    for l, dropped in PUNCTURED:
+        monoid = generate_T(l)
+        carriers.append((monoid, [tuple(i for i in monoid.ids() if i != d) for d in dropped]))
+    # bench/checks.py's punctured_carrier control: mo(3) less its largest composite id
+    mo3 = generate_T(catalog("mo", 3))
+    composite = max(e.id for e in mo3.elems if len(e.witness) >= 2)
+    carriers.append((mo3, [tuple(i for i in mo3.ids() if i != composite)]))
+    for monoid, punctured in carriers:
+        for carrier in punctured:
+            assert DynAlgebra(monoid, carrier=carrier).carrier == carrier
+
+
+def test_element_is_unequal_to_a_non_element(algebra_for):
+    x = algebra_for("mo", 2).singleton(0)
+    assert x.__eq__(x.ids) is NotImplemented
+    assert x != x.ids and x != 0
+
+
+def test_module_needs_the_test_lattice():
+    # tilde of a singleton is the empty set, which is no projection singleton
+    alg = DynAlgebra(generate_T(catalog("mo", 2)))
+    tilde = alg.tilde
+    alg.tilde = lambda a: alg.zero if len(a.ids) == 1 else tilde(a)
+    tk, delta, rep = alg.test_lattice()
+    assert [(c.name, c.status) for c in rep.checks] == [("image.matches_projection_singletons", "fail")]
+    assert tk is alg.l and delta.map == tuple(alg.l.elements())
+    module = verify_module(alg)
+    assert [(c.name, c.status, c.witness) for c in module.checks] == [
+        ("precondition.test_lattice", "fail", "test lattice extraction failed")]
+
+
+def test_congruence_is_vacuous_when_no_two_elements_share_an_action():
+    # without pi(bot), only the empty set acts as zero: no pair of chain2's elements
+    # shares an action, so the check passes with no pair exercised
+    monoid = generate_T(catalog("chain2"))
+    bot = monoid.gen_id[monoid.l.bot]
+    alg = DynAlgebra(monoid, carrier=tuple(i for i in monoid.ids() if i != bot))
+    check = verify_module(alg)["equiv_is_congruence"]
+    assert (check.status, check.detail) == ("pass", "0 equivalent pairs exercised")
+
+
+def test_internal_invariants_raise_assertion_error(algebra_for):
+    mo2 = algebra_for("mo", 2).monoid
+    alg = DynAlgebra(mo2)
+    alg.tilde = lambda a: alg.delta(alg.l.bot)
+    with pytest.raises(AssertionError, match="^closed form for double tilde disagrees at"):
+        alg.tilde_tilde(alg.unit)
+    alg.tilde = lambda a: alg.zero
+    with pytest.raises(AssertionError, match=r"^\{\} is not a test$"):
+        alg.action(alg.unit, alg.l.top)
+    alg = DynAlgebra(mo2)
+    alg.union_all = lambda elems: alg.zero
+    with pytest.raises(AssertionError, match="^normal form does not rejoin to the element$"):
+        alg.normal_form(alg.elem((0, 3)))

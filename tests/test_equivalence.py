@@ -584,6 +584,32 @@ def test_round_trip_rejects_a_morphism_from_another_lattice(pol):
         round_trip_report(catalog("boolean", 2), [mo2_swap()], pol)
 
 
+def test_gamma_object_requires_every_suite_to_pass(pol, monkeypatch):
+    failing = ValidationReport(title="forced")
+    failing.add("forced", False)
+    monkeypatch.setattr(equivalence, "verify_toda", lambda alg, policy: failing)
+    with pytest.raises(SuiteFailure, match=r"^suite failures on mo\(2\): \['toda:forced'\]$") as err:
+        gamma_object(catalog("mo", 2), pol)
+    names = [c.name for c in err.value.report.checks]
+    assert err.value.report.title == "gamma(mo(2))" and "toda.forced" in names
+    assert {name.split(".")[0] for name in names} == {"test_lattice", "ida", "toda", "module"}
+    unverified = gamma_object(catalog("mo", 2), pol, require=False)
+    with pytest.raises(ValueError, match="^handle is unverified; cannot extract its test lattice$"):
+        psi_object(unverified)
+
+
+def test_psi_morphism_rejects_a_restriction_that_is_no_ortho_iso(pol):
+    # pi(a) and pi(b) exchanged alone: a's orthocomplement is not carried to b's
+    h = gamma_object(catalog("mo", 2), pol)
+    gen = h.monoid.gen_id
+    a, b = gen[h.oml.index("a")], gen[h.oml.index("b")]
+    ids = list(h.monoid.ids())
+    ids[a], ids[b] = b, a
+    with pytest.raises(SuiteFailure, match=r"^psi\(s\) is not an ortho-iso$") as err:
+        psi_morphism(DynMorphism(h, h, tuple(ids), name="s"))
+    assert not err.value.report.ok
+
+
 if __name__ == "__main__":
     # the differential on criterion 11's heavier lattices, too slow for tier-1:
     # PYTHONPATH=src python tests/test_equivalence.py exits 1 on any difference

@@ -169,6 +169,7 @@ def test_zero_subspace_repr():
 
 
 def test_primitive_row_has_a_positive_leading_entry():
-    # _rref scales every pivot to 1 before this, so only a direct call meets a negative lead
-    assert _primitive((Fraction(-2, 3), Fraction(4, 3), Fraction(0))) == (1, -2, 0)
+    # _rref scales every pivot to 1 before _primitive reads a row, so a spanning
+    # vector with a negative lead comes out with a positive one
+    assert span((-2, 4, 0)).basis == ((1, -2, 0),)
     assert _primitive((Fraction(0),) * 3) is None

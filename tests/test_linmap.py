@@ -506,6 +506,22 @@ def test_public_guards_reject_mismatched_or_oversized_input():
         bruteforce_lin(mo2)
 
 
+def test_carrier_rejects_maps_of_another_lattice():
+    b2, mo2 = catalog("boolean", 2), catalog("mo", 2)
+    with pytest.raises(ValueError, match="^lattice mismatch in carrier$"):
+        _Carrier(mo2, [orth_adjoint(identity_map(b2))])
+
+
+def test_pointwise_join_outside_lin_is_an_internal_invariant(monkeypatch):
+    import omloq.linmap as linmap
+
+    mo2 = catalog("mo", 2)
+    f = orth_adjoint(identity_map(mo2))
+    monkeypatch.setattr(linmap, "orth_adjoint", lambda g: NotLinear("patched", ()))
+    with pytest.raises(AssertionError, match="^pointwise join left the carrier: "):
+        pointwise_join(mo2, [f])
+
+
 if __name__ == "__main__":
     # rewrites the golden file from whichever omloq is importable
     with open(LIN_VARIANTS, "w", encoding="utf-8") as fh:

@@ -342,3 +342,8 @@ def test_ortho_iso_compose_rejects_mismatched_endpoints():
     mo2, b2 = catalog("mo", 2), catalog("boolean", 2)
     with pytest.raises(ValueError, match="^endpoint mismatch in composition$"):
         identity_iso(mo2).compose(identity_iso(b2))
+
+
+def test_oml_repr_names_the_lattice_and_its_size():
+    assert repr(catalog("mo", 2)) == "Oml(mo(2), n=6)"
+    assert repr(dataclasses.replace(catalog("chain2"), name="")) == "Oml(unnamed, n=2)"

@@ -93,9 +93,13 @@ def iso_reports():
     return out
 
 
+# each lattice with the monoid ids dropped, one at a time, from its carrier
+PUNCTURED = ((catalog("boolean", 2), range(4)), (catalog("mo", 2), (0, 3, 5, 6, 11, 17)))
+
+
 def punctured_reports():
     out = {}
-    for l, dropped in ((catalog("boolean", 2), range(4)), (catalog("mo", 2), (0, 3, 5, 6, 11, 17))):
+    for l, dropped in PUNCTURED:
         monoid = generate_T(l)
         for d in dropped:
             alg = DynAlgebra(monoid, carrier=tuple(i for i in monoid.ids() if i != d))
